@@ -55,6 +55,7 @@ from .projection import (
     meridian_turning,
     omega,
     phi,
+    plane_map,
     project,
     t_period,
 )
@@ -67,6 +68,7 @@ from .verifier import (
     check_structural_identities,
     curvature_report,
     existence_classifier,
+    isometry_tolerance,
     ode_oracle_a,
     pseudosphere_profile,
     sphere_profile,

@@ -33,10 +33,9 @@ from .profile import (
 from .projection import Branch, make_projection_params, project
 
 # Residual tolerances enforced by ``verify``; a check fails when its max
-# residual meets or exceeds the bound.
+# residual meets or exceeds the bound.  The isometry rows take theirs from
+# the error model in verifier.isometry_tolerance instead.
 VERIFY_TOLERANCES = {
-    "fd_isometry": 1e-8,
-    "analytic_isometry": 1e-12,
     "straightness": 1e-12,
     "structural": 1e-10,
     "ode_oracle": 1e-8,
@@ -98,12 +97,10 @@ def _cmd_verify(args):
     rng = np.random.default_rng(args.seed)
 
     rows = []
-    rep_u, rep_t = verifier.check_local_isometry(p, params, u_span, nt=nt, nu=nu, fd_step=args.fd_step)
-    rows.append((rep_u.identity_name + " [fd]", rep_u, VERIFY_TOLERANCES["fd_isometry"]))
-    rows.append((rep_t.identity_name + " [fd]", rep_t, VERIFY_TOLERANCES["fd_isometry"]))
-    rep_u, rep_t = verifier.check_local_isometry(p, params, u_span, nt=nt, nu=nu, fd_step=0.0)
-    rows.append((rep_u.identity_name + " [analytic]", rep_u, VERIFY_TOLERANCES["analytic_isometry"]))
-    rows.append((rep_t.identity_name + " [analytic]", rep_t, VERIFY_TOLERANCES["analytic_isometry"]))
+    for mode, fd_step in (("fd", args.fd_step), ("analytic", 0.0)):
+        tol = verifier.isometry_tolerance(p, params, u_span, fd_step=fd_step)
+        for rep in verifier.check_local_isometry(p, params, u_span, nt=nt, nu=nu, fd_step=fd_step):
+            rows.append(("%s [%s]" % (rep.identity_name, mode), rep, tol))
 
     u_line = np.linspace(u_span.lo, u_span.hi, 16)
     worst_straightness = None

@@ -7,19 +7,30 @@ shortest round-trip representation so emitted files re-ingest losslessly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CollinearityViolation, IoFailure
-from .profile import DomainInterval, QuadraticProfile, SurfacePoint, embed, profile_jet
-from .projection import ProjectionParams, project
+from .profile import DomainInterval, QuadraticProfile, eval_g, profile_jet
+from .projection import ProjectionParams, plane_map
+from .verifier import meridian_deviation
 
 # Internal guard on meridian images before they are collapsed to two-point
-# polylines; they are straight by construction, so anything above this is a bug.
+# polylines, as a share of the image scale max(1, max |Phi|): they are
+# straight by construction and round to a few eps of that scale, so anything
+# above this is a bug.
 MERIDIAN_DEVIATION_GUARD = 1e-9
 
 SVG_MARGIN_FRACTION = 0.05
+
+# Emitted files get the permissions a plain open() would give them.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 @dataclass(frozen=True)
@@ -61,30 +72,23 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _linspace(a: float, b: float, n: int):
-    if n == 1:
-        return [a]
-    step = (b - a) / (n - 1)
-    return [a + i * step for i in range(n)]
-
-
 def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
+    """Write ``text`` to a fresh temporary file beside ``path``, then rename
+    it over ``path``; on any failure the temporary file is removed."""
     try:
-        with open(tmp, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="\n") as handle:
+                os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp makes it 0600
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
-
-
-def _perpendicular_deviation(pts):
-    first, last = pts[0], pts[-1]
-    chord = math.hypot(last[0] - first[0], last[1] - first[1])
-    if chord < 1e-15:
-        return 0.0
-    ex, ey = (last[0] - first[0]) / chord, (last[1] - first[1]) / chord
-    return max(abs((x - first[0]) * ey - (y - first[1]) * ex) for x, y in pts)
 
 
 def export_graticule_svg(
@@ -96,39 +100,32 @@ def export_graticule_svg(
     fitted with a 5% margin."""
     t0, t1 = spec.t_range
     u_lo, u_hi = spec.u_range.lo, spec.u_range.hi
-    t_values = _linspace(t0, t1, spec.n_meridians)
-    u_values = _linspace(u_lo, u_hi, spec.n_parallels)
-    u_samples = _linspace(u_lo, u_hi, spec.samples_per_curve)
-    t_samples = _linspace(t0, t1, spec.samples_per_curve)
+    t_values = np.linspace(t0, t1, spec.n_meridians)
+    u_values = np.linspace(u_lo, u_hi, spec.n_parallels)
+    u_samples = np.linspace(u_lo, u_hi, spec.samples_per_curve)
+    t_samples = np.linspace(t0, t1, spec.samples_per_curve)
 
-    meridians = []
-    for t in t_values:
-        pts = [project(p, params, SurfacePoint(t, u)) for u in u_samples]
-        screen = [(q.x, -q.y) for q in pts]
-        deviation = _perpendicular_deviation(screen)
-        if deviation > MERIDIAN_DEVIATION_GUARD:
-            raise CollinearityViolation(
-                "meridian image at t=%g deviates %g from a straight line" % (t, deviation)
-            )
-        meridians.append([screen[0], screen[-1]])
+    # one row of samples per meridian image and per parallel image
+    meridians, _, _ = plane_map(p, params, t_values[:, None], u_samples[None, :])
+    parallels, _, _ = plane_map(p, params, t_samples[None, :], u_values[:, None])
 
-    parallels = []
-    for u in u_values:
-        pts = [project(p, params, SurfacePoint(t, u)) for t in t_samples]
-        parallels.append([(q.x, -q.y) for q in pts])
+    deviation = meridian_deviation(meridians)[0].max(axis=1)
+    bound = MERIDIAN_DEVIATION_GUARD * max(1.0, float(np.abs(meridians).max()))
+    for t, dev in zip(t_values, deviation):
+        if dev > bound:
+            raise CollinearityViolation("meridian image at t=%g deviates %g from a straight line" % (t, dev))
 
-    all_pts = [pt for line in meridians + parallels for pt in line]
-    min_x = min(x for x, _ in all_pts)
-    max_x = max(x for x, _ in all_pts)
-    min_y = min(y for _, y in all_pts)
-    max_y = max(y for _, y in all_pts)
+    polylines = [(z, "#202020") for z in meridians[:, [0, -1]]] + [(z, "#777777") for z in parallels]
+    all_z = np.concatenate([z for z, _ in polylines])
+    min_x, max_x = float(all_z.real.min()), float(all_z.real.max())
+    min_y, max_y = float(-all_z.imag.max()), float(-all_z.imag.min())
     span = max(max_x - min_x, max_y - min_y, 1e-9)
     pad = SVG_MARGIN_FRACTION * span
     view = (min_x - pad, min_y - pad, (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad)
     stroke_width = 0.004 * span
 
-    def polyline(points, color):
-        coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in points)
+    def polyline(z, color):
+        coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in zip(z.real.tolist(), (-z.imag).tolist()))
         return '  <polyline points="%s" fill="none" stroke="%s" stroke-width="%s"/>' % (
             coords,
             color,
@@ -140,14 +137,13 @@ def export_graticule_svg(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%s %s %s %s">'
         % tuple(_fmt(v) for v in view),
     ]
-    lines += [polyline(points, "#202020") for points in meridians]
-    lines += [polyline(points, "#777777") for points in parallels]
+    lines += [polyline(z, color) for z, color in polylines]
     lines.append("</svg>")
     _atomic_write(path, "\n".join(lines) + "\n")
     return {
         "path": path,
-        "meridians": len(meridians),
-        "parallels": len(parallels),
+        "meridians": spec.n_meridians,
+        "parallels": spec.n_parallels,
         "viewbox": view,
     }
 
@@ -157,19 +153,16 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     row-major in (t, u), quad faces with 1-based indices, seam closed at
     t = 2 pi by wrapping the last ring of faces back to the first."""
     nt, nu = spec.t_divisions, spec.u_divisions
-    t_values = [2.0 * math.pi * i / nt for i in range(nt)]
-    u_values = _linspace(spec.u_range.lo, spec.u_range.hi, nu)
-    heights = [0.0] * nu
-    for j, u in enumerate(u_values):
-        _, _, z = embed(p, SurfacePoint(0.0, u), spec.u_ref)
-        heights[j] = z
+    u_values = np.linspace(spec.u_range.lo, spec.u_range.hi, nu)
+    radii = profile_jet(p, u_values)[0].tolist()
+    heights = [eval_g(p, u, spec.u_ref) for u in u_values.tolist()]
 
     rows = []
-    for t in t_values:
+    for i in range(nt):
+        t = 2.0 * math.pi * i / nt
         cos_t, sin_t = math.cos(t), math.sin(t)
-        for j, u in enumerate(u_values):
-            f, _, _ = profile_jet(p, u)
-            rows.append("v %s %s %s" % (_fmt(f * cos_t), _fmt(f * sin_t), _fmt(heights[j])))
+        for f, z in zip(radii, heights):
+            rows.append("v %s %s %s" % (_fmt(f * cos_t), _fmt(f * sin_t), _fmt(z)))
 
     def vid(i, j):
         return i * nu + j + 1
@@ -188,11 +181,10 @@ def sample_table_csv(
 ) -> dict:
     """Write header ``t,u,x,y`` then one row per (t, u) grid point with the
     projected coordinates, full double precision."""
+    points = np.array([(t, u) for t, u in grid], dtype=float).reshape(-1, 2)
+    z, _, _ = plane_map(p, params, points[:, 0], points[:, 1])
     lines = ["t,u,x,y"]
-    count = 0
-    for t, u in grid:
-        q = project(p, params, SurfacePoint(t, u))
-        lines.append("%s,%s,%s,%s" % (_fmt(t), _fmt(u), _fmt(q.x), _fmt(q.y)))
-        count += 1
+    for (t, u), x, y in zip(points.tolist(), z.real.tolist(), z.imag.tolist()):
+        lines.append("%s,%s,%s,%s" % (_fmt(t), _fmt(u), _fmt(x), _fmt(y)))
     _atomic_write(path, "\n".join(lines) + "\n")
-    return {"path": path, "rows": count}
+    return {"path": path, "rows": len(points)}

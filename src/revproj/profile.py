@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     EmptyDomain,
@@ -109,6 +107,8 @@ class GeneralProfile:
             raise ValueError("table u-values must be strictly increasing")
         if not np.all(f > 0):
             raise ValueError("table f-values must be positive")
+        from scipy.interpolate import PchipInterpolator
+
         interp = PchipInterpolator(u, f)
         return cls(evaluator=lambda x: float(interp(x)), domain=DomainInterval(float(u[0]), float(u[-1])))
 
@@ -144,12 +144,12 @@ def make_quadratic_profile(c: float, d: float, k: float) -> QuadraticProfile:
 
 
 def profile_jet(p: QuadraticProfile, u: float):
-    """Evaluate (f, f', f'') at u.
+    """Evaluate (f, f', f'') at u, a float or a numpy array.
 
     f = sqrt(c u^2 + d u + k), f' = (2cu + d)/(2f), f'' = (4ck - d^2)/(4 f^3).
     """
     w = (p.c * u + p.d) * u + p.k
-    f = math.sqrt(w)
+    f = math.sqrt(w) if isinstance(w, float) else np.sqrt(w)
     f_prime = (2.0 * p.c * u + p.d) / (2.0 * f)
     f_second = -p.delta / (4.0 * f * w)
     return f, f_prime, f_second
@@ -233,6 +233,8 @@ def eval_g(p: QuadraticProfile, u: float, u_ref: float) -> float:
     """
     if u == u_ref:
         return 0.0
+    from scipy.integrate import quad
+
     _arc_integrand(p, u)
     _arc_integrand(p, u_ref)
     value, _estimate = quad(

@@ -10,13 +10,18 @@ preserving infinitesimal length along meridians and parallels:
                                                     mirrored branch),
     theta0 with sin(theta0) = d / (2 sqrt(ck)),
 
-and the plane point is x = u g1(t) + G2(t), y = u h1(t) + H2(t) with
-(g1, h1) the unit meridian image direction and (G2, H2) the anchored
-antiderivatives of sqrt(k) (cos, sin)(theta0 - b(t)).
+and in complex form z = x + iy the map is one affine expression per meridian,
+
+    Phi(t, u) = sigma (e^{-i b(t)} (u + w0) - e^{-i b(t_base)} w0),
+    w0 = -i (sqrt(k)/sqrt(c)) e^{i theta0},   sigma = +-1 on CASE_A / CASE_B.
+
+``plane_map`` evaluates it and both partial derivatives on arrays; the
+scalar ``project``, ``jacobian`` and ``frame_functions`` are views of it.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -87,8 +92,9 @@ def make_projection_params(
 
 def meridian_turning(p: QuadraticProfile, u: float):
     """(a, a') with a(u) = arctan((2c/sqrt(-delta))(u + d/2c)) and
-    a' = (sqrt(-delta)/2) / f(u)^2."""
-    a = math.atan(2.0 * p.c / p.sqrt_neg_delta * (u + p.d / (2.0 * p.c)))
+    a' = (sqrt(-delta)/2) / f(u)^2; u may be a float or a numpy array."""
+    x = 2.0 * p.c / p.sqrt_neg_delta * (u + p.d / (2.0 * p.c))
+    a = math.atan(x) if isinstance(x, float) else np.arctan(x)
     w = (p.c * u + p.d) * u + p.k
     a_prime = 0.5 * p.sqrt_neg_delta / w
     return a, a_prime
@@ -116,54 +122,51 @@ def phi(params: ProjectionParams, p: QuadraticProfile, t: float) -> float:
     return -b if params.branch is Branch.CASE_A else math.pi - b
 
 
-def frame_functions(params: ProjectionParams, p: QuadraticProfile, t: float) -> FrameFunctions:
-    """Frame at t.  On CASE_A: (g1, h1) = (cos b, -sin b) and
+def plane_map(p: QuadraticProfile, params: ProjectionParams, t, u):
+    """Phi and its two partial derivatives in complex form, z = x + iy, at
+    t and u (floats or numpy arrays, broadcast against each other):
 
-        G2 = (sqrt(k)/sqrt(c)) [sin(theta0 - b(t)) - sin(theta0 - b(t_base))]
-        H2 = -(sqrt(k)/sqrt(c)) [cos(theta0 - b(t)) - cos(theta0 - b(t_base))]
+        Phi     = sigma (e^{-i b(t)} (u + w0) - e^{-i b(t_base)} w0)
+        dPhi/dt = -i sigma b' e^{-i b(t)} (u + w0)
+        dPhi/du = sigma e^{-i b(t)}
 
-    which are the exact antiderivatives of sqrt(k) cos(theta0 - b) and
-    sqrt(k) sin(theta0 - b) vanishing at t_base.  On CASE_B all four signs
-    flip, matching b' = +sqrt(c).
+    with w0 = -i (sqrt(k)/sqrt(c)) e^{i theta0} and sigma = +1 on CASE_A,
+    -1 on CASE_B.  Each meridian image is the line through
+    sigma (e^{-ib} w0 - e^{-i b(t_base)} w0) with unit direction dPhi/du,
+    and |dPhi/dt| = sqrt(c) |u + w0| = f(u).  Returns (Phi, dPhi/dt, dPhi/du);
+    dPhi/du does not depend on u and keeps the shape of t.
     """
-    b = angle_b(params, p, t)
-    b0 = angle_b(params, p, params.t_base)
+    # cmath.exp matches np.exp bit for bit and keeps scalar calls off numpy
+    exp = np.exp if isinstance(t, np.ndarray) else cmath.exp
+    bp = b_slope(params, p)
+    sigma = -bp / p.sqrt_c  # +1 on CASE_A, -1 on CASE_B
     amp = math.sqrt(p.k) / p.sqrt_c
-    ds = math.sin(params.theta0 - b) - math.sin(params.theta0 - b0)
-    dc = math.cos(params.theta0 - b) - math.cos(params.theta0 - b0)
-    if params.branch is Branch.CASE_A:
-        return FrameFunctions(g1=math.cos(b), h1=-math.sin(b), G2=amp * ds, H2=-amp * dc)
-    return FrameFunctions(g1=-math.cos(b), h1=math.sin(b), G2=-amp * ds, H2=amp * dc)
+    w0 = complex(amp * math.sin(params.theta0), -amp * math.cos(params.theta0))
+    # b(t) = b' t + c0, as in angle_b
+    anchor = sigma * exp(-1j * (bp * params.t_base + params.c0)) * w0
+    rot = sigma * exp(-1j * (bp * t + params.c0))
+    arm = u + w0
+    return rot * arm - anchor, -1j * bp * rot * arm, rot
+
+
+def frame_functions(params: ProjectionParams, p: QuadraticProfile, t: float) -> FrameFunctions:
+    """Frame at t: (g1, h1) = dPhi/du and (G2, H2) = Phi(t, 0), so that
+    Phi(t, u) = (u g1 + G2, u h1 + H2)."""
+    z, _, zu = plane_map(p, params, t, 0.0)
+    return FrameFunctions(g1=float(zu.real), h1=float(zu.imag), G2=float(z.real), H2=float(z.imag))
 
 
 def project(p: QuadraticProfile, params: ProjectionParams, pt: SurfacePoint) -> PlanePoint:
-    """Phi(t, u) = (u g1 + G2, u h1 + H2): affine in u along each meridian."""
-    fr = frame_functions(params, p, pt.t)
-    return PlanePoint(pt.u * fr.g1 + fr.G2, pt.u * fr.h1 + fr.H2)
+    """Phi(t, u) = (x, y): affine in u along each meridian."""
+    z, _, _ = plane_map(p, params, pt.t, pt.u)
+    return PlanePoint(float(z.real), float(z.imag))
 
 
 def jacobian(p: QuadraticProfile, params: ProjectionParams, pt: SurfacePoint) -> np.ndarray:
-    """2x2 Jacobian of Phi, columns (d/dt, d/du).
-
-    The u-column is the unit vector (g1, h1); the t-column is
-    (u g1' + sqrt(k) cos(theta0 - b), u h1' + sqrt(k) sin(theta0 - b))
-    and has norm exactly f(u), since its squared norm expands to
-    c u^2 + 2u sqrt(ck) sin(theta0) + k = f(u)^2.
-    """
-    b = angle_b(params, p, pt.t)
-    bp = b_slope(params, p)
-    sqrt_k = math.sqrt(p.k)
-    cr = math.cos(params.theta0 - b)
-    sr = math.sin(params.theta0 - b)
-    if params.branch is Branch.CASE_A:
-        g1, h1 = math.cos(b), -math.sin(b)
-        g1p, h1p = -bp * math.sin(b), -bp * math.cos(b)
-    else:
-        g1, h1 = -math.cos(b), math.sin(b)
-        g1p, h1p = bp * math.sin(b), bp * math.cos(b)
-    dx_dt = pt.u * g1p + sqrt_k * cr
-    dy_dt = pt.u * h1p + sqrt_k * sr
-    return np.array([[dx_dt, g1], [dy_dt, h1]])
+    """2x2 Jacobian of Phi, columns (d/dt, d/du): the u-column is the unit
+    meridian direction and the t-column has norm exactly f(u)."""
+    _, zt, zu = plane_map(p, params, pt.t, pt.u)
+    return np.array([[zt.real, zu.real], [zt.imag, zu.imag]])
 
 
 def t_period(p: QuadraticProfile) -> float:
@@ -198,16 +201,16 @@ def invert(
             return SurfacePoint(t, u)
         if iteration == max_iter:
             break
-        jac = jacobian(p, params, SurfacePoint(t, u))
-        det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
+        (xt, xu), (yt, yu) = jacobian(p, params, SurfacePoint(t, u)).tolist()
+        det = xt * yu - xu * yt
         if abs(det) < 1e-14:
             raise NoConvergence(
                 "Jacobian determinant %g below 1e-14 at (t=%g, u=%g)" % (det, t, u),
                 iterations=iteration,
                 residual=residual,
             )
-        t += float(jac[1, 1] * rx - jac[0, 1] * ry) / det
-        u += float(-jac[1, 0] * rx + jac[0, 0] * ry) / det
+        t += (yu * rx - xu * ry) / det
+        u += (-yt * rx + xt * ry) / det
     raise NoConvergence(
         "no convergence to %g after %d iterations (residual %g)" % (tol, max_iter, residual),
         iterations=max_iter,

@@ -24,12 +24,19 @@ from .profile import (
     DomainInterval,
     GeneralProfile,
     QuadraticProfile,
-    SurfacePoint,
     gaussian_curvature,
     profile_jet,
     slope_feasible_span,
 )
-from .projection import ProjectionParams, jacobian, meridian_turning, project
+from .projection import ProjectionParams, angle_b, meridian_turning, plane_map
+
+# Safety factors of isometry_tolerance over its error model.  Over 150 random
+# profiles (c from 1e-3 to 1e3, k from 1e-8 to 1e12, d up to the discriminant
+# edge, steps 1e-8 to 1e-3, random c0, t-window and branch) the residuals
+# reached 1.0x the finite-difference model and 4x eps max(1, sqrt(c) scale).
+FD_ISOMETRY_SAFETY = 16.0
+ANALYTIC_ISOMETRY_SAFETY = 64.0
+ANALYTIC_ISOMETRY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,16 +67,51 @@ class ExistenceVerdict:
     worst_u: float = math.nan
 
 
-def _summarize(name, residuals, points):
+def _summarize(name, residuals, point_at):
+    """Report over a residual array; ``point_at(i)`` names the sample at
+    flat index i, so only the worst point is ever built."""
     residuals = np.asarray(residuals, dtype=float)
     worst = int(np.argmax(residuals))
     return ResidualReport(
         identity_name=name,
-        max_abs_residual=float(residuals[worst]),
+        max_abs_residual=float(residuals.flat[worst]),
         mean_abs_residual=float(residuals.mean()),
-        worst_point=points[worst],
-        samples=len(points),
+        worst_point=point_at(worst),
+        samples=residuals.size,
     )
+
+
+def isometry_tolerance(
+    p: QuadraticProfile,
+    params: ProjectionParams,
+    u_span: DomainInterval,
+    t_span=(0.0, math.pi),
+    fd_step: float = 1e-5,
+) -> float:
+    """Bound on the residuals of :func:`check_local_isometry` over the same
+    window: its error model times a safety factor.
+
+    Phi = sigma (e^{-ib} (u + w0) - e^{-i b(t_base)} w0) is a difference of
+    two terms of size at most |u| + |w0| and |w0|, so with
+    scale = max|u| + 2|w0| >= max|Phi| over the stencil each evaluation
+    rounds to a few eps * scale, and the rounded phase b(t) (off by
+    eps |b|) turns u + w0 by as much again times |b|.  A central difference
+    divides that by h: eps * scale (1 + max|b|) / h.  Its truncation error
+    in t is h^2 |d^3 Phi/dt^3| / 6 = h^2 c f_max / 6 (d^3 Phi/dt^3 =
+    (-i b')^3 dPhi/du (u + w0) and sqrt(c) |u + w0| = f); Phi is affine in u,
+    so the u-difference has none.  The analytic columns only round:
+    |dPhi/du| to a few eps and |dPhi/dt| = sqrt(c) |u + w0| to a few
+    eps sqrt(c) scale, kept above the 1e-12 floor.
+    """
+    h = fd_step
+    w0 = math.sqrt(p.k) / p.sqrt_c
+    scale = max(abs(u_span.lo - h), abs(u_span.hi + h)) + 2.0 * w0
+    eps = np.finfo(float).eps
+    if h == 0.0:
+        return max(ANALYTIC_ISOMETRY_FLOOR, ANALYTIC_ISOMETRY_SAFETY * eps * max(1.0, p.sqrt_c * scale))
+    b_max = max(abs(angle_b(params, p, t_span[0] - h)), abs(angle_b(params, p, t_span[1] + h)))
+    f_max = max(profile_jet(p, u_span.lo - h)[0], profile_jet(p, u_span.hi + h)[0])
+    return FD_ISOMETRY_SAFETY * (eps * scale * (1.0 + b_max) / h + h * h * p.c * f_max / 6.0)
 
 
 def check_local_isometry(
@@ -99,29 +141,33 @@ def check_local_isometry(
 
     ts = np.linspace(t_span[0], t_span[1], nt)
     us = np.linspace(u_span.lo, u_span.hi, nu)
-    res_u, res_t, points = [], [], []
+    t, u = ts[:, None], us[None, :]
     h = fd_step
-    for t in ts:
-        for u in us:
-            f, _, _ = profile_jet(p, u)
-            if h == 0.0:
-                jac = jacobian(p, params, SurfacePoint(t, u))
-                du_norm = math.hypot(jac[0, 1], jac[1, 1])
-                dt_norm = math.hypot(jac[0, 0], jac[1, 0])
-            else:
-                up = project(p, params, SurfacePoint(t, u + h))
-                um = project(p, params, SurfacePoint(t, u - h))
-                tp = project(p, params, SurfacePoint(t + h, u))
-                tm = project(p, params, SurfacePoint(t - h, u))
-                du_norm = math.hypot(up.x - um.x, up.y - um.y) / (2.0 * h)
-                dt_norm = math.hypot(tp.x - tm.x, tp.y - tm.y) / (2.0 * h)
-            res_u.append(abs(du_norm - 1.0))
-            res_t.append(abs(dt_norm - f))
-            points.append((t, u))
+    if h == 0.0:
+        _, zt, zu = plane_map(p, params, t, u)
+        du_norm, dt_norm = np.broadcast_to(np.abs(zu), zt.shape), np.abs(zt)
+    else:
+        du_norm = np.abs(plane_map(p, params, t, u + h)[0] - plane_map(p, params, t, u - h)[0]) / (2.0 * h)
+        dt_norm = np.abs(plane_map(p, params, t + h, u)[0] - plane_map(p, params, t - h, u)[0]) / (2.0 * h)
+    f, _, _ = profile_jet(p, us)
+
+    def point_at(i):
+        return ts[i // nu], us[i % nu]
+
     return (
-        _summarize("|dPhi/du| - 1", res_u, points),
-        _summarize("|dPhi/dt| - f(u)", res_t, points),
+        _summarize("|dPhi/du| - 1", np.abs(du_norm - 1.0), point_at),
+        _summarize("|dPhi/dt| - f(u)", np.abs(dt_norm - f), point_at),
     )
+
+
+def meridian_deviation(z):
+    """Perpendicular distances of the points z[..., i] (complex, x + iy)
+    from the straight line through z[..., 0] and z[..., -1], and the chord
+    lengths |z[..., -1] - z[..., 0]|.  A zero chord gives zero distances."""
+    chord = z[..., -1:] - z[..., :1]
+    length = np.abs(chord)
+    direction = np.conj(chord) / np.where(length > 0.0, length, 1.0)
+    return np.abs(((z - z[..., :1]) * direction).imag), length[..., 0]
 
 
 def check_meridian_straightness(p, params, t: float, u_samples) -> ResidualReport:
@@ -130,15 +176,11 @@ def check_meridian_straightness(p, params, t: float, u_samples) -> ResidualRepor
     u_samples = list(u_samples)
     if len(u_samples) < 3:
         raise ValueError("straightness check needs at least 3 u-samples")
-    pts = [project(p, params, SurfacePoint(t, u)) for u in u_samples]
-    first, last = pts[0], pts[-1]
-    chord = math.hypot(last.x - first.x, last.y - first.y)
+    z, _, _ = plane_map(p, params, t, np.array(u_samples, dtype=float))
+    deviations, chord = meridian_deviation(z)
     if chord < 1e-15:
         raise DegenerateLine("meridian image endpoints coincide at t=%g" % t)
-    ex, ey = (last.x - first.x) / chord, (last.y - first.y) / chord
-    deviations = [abs((q.x - first.x) * ey - (q.y - first.y) * ex) for q in pts]
-    points = [(t, u) for u in u_samples]
-    return _summarize("meridian image collinearity", deviations, points)
+    return _summarize("meridian image collinearity", deviations, lambda i: (t, u_samples[i]))
 
 
 def check_structural_identities(p: QuadraticProfile, u_samples):
@@ -150,20 +192,17 @@ def check_structural_identities(p: QuadraticProfile, u_samples):
         f' sin a + f a' cos a = sqrt(c)
     """
     u_samples = list(u_samples)
-    rows = {name: [] for name in ("f'' - (a')^2 f", "2 f' a' + f a''",
-                                  "f' cos a - f a' sin a",
-                                  "f' sin a + f a' cos a - sqrt(c)")}
-    for u in u_samples:
-        f, fp, fpp = profile_jet(p, u)
-        a, ap = meridian_turning(p, u)
-        app = -p.sqrt_neg_delta * fp / (f * f * f)
-        rows["f'' - (a')^2 f"].append(abs(fpp - ap * ap * f))
-        rows["2 f' a' + f a''"].append(abs(2.0 * fp * ap + f * app))
-        rows["f' cos a - f a' sin a"].append(abs(fp * math.cos(a) - f * ap * math.sin(a)))
-        rows["f' sin a + f a' cos a - sqrt(c)"].append(
-            abs(fp * math.sin(a) + f * ap * math.cos(a) - p.sqrt_c)
-        )
-    return [_summarize(name, residuals, u_samples) for name, residuals in rows.items()]
+    us = np.array(u_samples, dtype=float)
+    f, fp, fpp = profile_jet(p, us)
+    a, ap = meridian_turning(p, us)
+    app = -p.sqrt_neg_delta * fp / (f * f * f)
+    rows = {
+        "f'' - (a')^2 f": fpp - ap * ap * f,
+        "2 f' a' + f a''": 2.0 * fp * ap + f * app,
+        "f' cos a - f a' sin a": fp * np.cos(a) - f * ap * np.sin(a),
+        "f' sin a + f a' cos a - sqrt(c)": fp * np.sin(a) + f * ap * np.cos(a) - p.sqrt_c,
+    }
+    return [_summarize(name, np.abs(residuals), u_samples.__getitem__) for name, residuals in rows.items()]
 
 
 def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> ResidualReport:
@@ -183,7 +222,7 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
     points = [u0]
     n_steps = max(0, math.ceil(abs(u1 - u0) / step))
     if n_steps == 0:
-        return _summarize("a(u): RK4 vs closed form", errors, points)
+        return _summarize("a(u): RK4 vs closed form", errors, points.__getitem__)
     h = (u1 - u0) / n_steps
     u = u0
     for _ in range(n_steps):
@@ -197,7 +236,7 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
         a_exact, _ = meridian_turning(p, u)
         errors.append(abs(a - a_exact))
         points.append(u)
-    return _summarize("a(u): RK4 vs closed form", errors, points)
+    return _summarize("a(u): RK4 vs closed form", errors, points.__getitem__)
 
 
 # Built-in profiles exercising both non-existence regimes: positive curvature

@@ -46,6 +46,11 @@ class TestVerifyCommand:
                            "--grid", "12x12", "--seed", "3")
         assert code == 0
 
+    def test_large_k_profile_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1e6", "--grid", "64x64")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_fault_injection_fails_run(self, capsys, monkeypatch):
         real = verifier_mod.check_structural_identities
 
@@ -137,6 +142,14 @@ class TestExportCommands:
         assert code == 0
         assert out_path.exists()
         assert "9 meridians" in out
+
+    def test_graticule_of_large_map(self, capsys, tmp_path):
+        # |Phi| near 2e7: the collinearity guard scales with the image
+        out_path = tmp_path / "g.svg"
+        code, _, err = run(capsys, "export-graticule", "--c", "1", "--d", "0", "--k", "1e14",
+                           "-o", str(out_path))
+        assert code == 0, err
+        assert out_path.exists()
 
     def test_mesh(self, capsys, tmp_path):
         out_path = tmp_path / "m.obj"

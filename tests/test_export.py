@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,6 +11,7 @@ from revproj import (
     CollinearityViolation,
     DomainInterval,
     GraticuleSpec,
+    IoFailure,
     MeshSpec,
     PlanePoint,
     SurfacePoint,
@@ -122,13 +124,14 @@ class TestGraticuleSvg:
         assert vx + vw > max(xs) and vy + vh > max(ys)
 
     def test_collinearity_guard_trips_on_corrupted_map(self, fig1, fig1_params, tmp_path, monkeypatch):
-        real_project = export_mod.project
+        # bend the array kernel the graticule samples its meridians from
+        real_map = export_mod.plane_map
 
-        def bent(p, params, pt):
-            q = real_project(p, params, pt)
-            return PlanePoint(q.x + 1e-6 * math.sin(3 * pt.u), q.y)
+        def bent(p, params, t, u):
+            z, zt, zu = real_map(p, params, t, u)
+            return z + 1e-6 * np.sin(3 * u), zt, zu
 
-        monkeypatch.setattr(export_mod, "project", bent)
+        monkeypatch.setattr(export_mod, "plane_map", bent)
         spec = GraticuleSpec((0.0, math.pi), DomainInterval(0.2, 2.0))
         with pytest.raises(CollinearityViolation):
             export_graticule_svg(fig1, fig1_params, spec, str(tmp_path / "bad.svg"))
@@ -225,3 +228,40 @@ class TestSampleTableCsv:
         sample_table_csv(fig1, fig1_params, [(0.0, 1.0)], str(path))
         data = open(path, "rb").read()
         assert b"\r" not in data
+
+
+class TestAtomicWrite:
+    def test_failed_rename_leaves_no_stray_file(self, fig1, fig1_params, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(export_mod.os, "replace", refuse)
+        with pytest.raises(IoFailure):
+            sample_table_csv(fig1, fig1_params, [(0.0, 1.0)], str(tmp_path / "t.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overlapping_writes_to_one_target_use_distinct_temp_names(self, tmp_path, monkeypatch):
+        # a second writer starts while the first one's temp file still exists
+        real_replace = os.replace
+        temps = []
+
+        def second_writer_first(src, dst):
+            temps.append(src)
+            if len(temps) == 1:
+                export_mod._atomic_write(dst, "second\n")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(export_mod.os, "replace", second_writer_first)
+        target = tmp_path / "out.txt"
+        export_mod._atomic_write(str(target), "first\n")
+        assert len(temps) == 2 and temps[0] != temps[1]
+        assert all(os.path.dirname(name) == str(tmp_path) for name in temps)
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert target.read_text() == "first\n"
+
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        target = tmp_path / "mode.txt"
+        export_mod._atomic_write(str(target), "x\n")
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask

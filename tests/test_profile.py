@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import revproj
 from revproj import (
     DomainInterval,
     EmptyDomain,
@@ -211,3 +215,13 @@ class TestGeneralProfile:
     def test_from_table_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             GeneralProfile.from_table([0.0, 0.5, 1.0, 1.5], [1.0, -1.0, 1.0, 1.0])
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only by eval_g and GeneralProfile.from_table
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revproj.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, revproj; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from revproj import (
     check_structural_identities,
     curvature_report,
     existence_classifier,
+    isometry_tolerance,
     make_projection_params,
     make_quadratic_profile,
     ode_oracle_a,
@@ -60,6 +61,26 @@ class TestLocalIsometry:
     def test_fd_step_range_enforced(self, fig1, fig1_params):
         with pytest.raises(ValueError):
             check_local_isometry(fig1, fig1_params, DomainInterval(0.2, 2.0), fd_step=1e-2)
+
+
+class TestIsometryTolerance:
+    def test_default_bounds_on_fig1(self, fig1, fig1_params):
+        # no looser than the fixed 1e-8 / 1e-12 bounds they replace
+        span = reference_interval(fig1)
+        assert isometry_tolerance(fig1, fig1_params, span) <= 1e-8
+        assert isometry_tolerance(fig1, fig1_params, span, fd_step=0.0) == 1e-12
+
+    def test_bounds_grow_with_the_map_scale(self):
+        # k = 1e6 puts |Phi| near 2e3: central-difference roundoff grows like
+        # eps |Phi| / h, and the residuals stay inside the grown bound
+        p = make_quadratic_profile(1, 0, 1e6)
+        params = make_projection_params(p)
+        span = reference_interval(p)
+        for h in (1e-5, 0.0):
+            tol = isometry_tolerance(p, params, span, fd_step=h)
+            assert tol > (1e-8 if h else 1e-12)
+            for rep in check_local_isometry(p, params, span, nt=64, nu=64, fd_step=h):
+                assert rep.max_abs_residual < tol
 
 
 class TestMeridianStraightness:
