@@ -16,7 +16,7 @@ from .errors import (
     InfeasibleArcLength,
     InsufficientDomain,
     IoFailure,
-    NoConvergence,
+    NoPreimage,
     RejectedProfile,
     RevprojError,
     SingularitySplit,
@@ -38,23 +38,17 @@ from .profile import (
     eval_g,
     gaussian_curvature,
     make_quadratic_profile,
-    metric_coefficients,
     profile_jet,
     reference_interval,
 )
 from .projection import (
     Branch,
-    FrameFunctions,
     PlanePoint,
     ProjectionParams,
-    angle_b,
-    frame_functions,
     invert,
     jacobian,
     make_projection_params,
     meridian_turning,
-    omega,
-    phi,
     plane_map,
     project,
     t_period,

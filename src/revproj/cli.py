@@ -33,10 +33,10 @@ from .profile import (
 from .projection import Branch, make_projection_params, project
 
 # Residual tolerances enforced by ``verify``; a check fails when its max
-# residual meets or exceeds the bound.  The isometry rows take theirs from
-# the error model in verifier.isometry_tolerance instead.
+# residual meets or exceeds the bound.  The isometry and straightness rows
+# take theirs from the error models in verifier.isometry_tolerance and
+# verifier.straightness_tolerance instead.
 VERIFY_TOLERANCES = {
-    "straightness": 1e-12,
     "structural": 1e-10,
     "ode_oracle": 1e-8,
 }
@@ -108,7 +108,7 @@ def _cmd_verify(args):
         rep = verifier.check_meridian_straightness(p, params, float(t), u_line)
         if worst_straightness is None or rep.max_abs_residual > worst_straightness.max_abs_residual:
             worst_straightness = rep
-    rows.append((worst_straightness.identity_name, worst_straightness, VERIFY_TOLERANCES["straightness"]))
+    rows.append((worst_straightness.identity_name, worst_straightness, verifier.straightness_tolerance(p, u_line)))
 
     u_samples = rng.uniform(u_span.lo, u_span.hi, size=1000)
     for rep in verifier.check_structural_identities(p, u_samples):

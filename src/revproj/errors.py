@@ -36,13 +36,10 @@ class InfeasibleArcLength(RevprojError):
     """f'(u)^2 exceeds 1, so no arc-length height function g exists there."""
 
 
-class NoConvergence(RevprojError):
-    """Newton inversion failed to reach the requested tolerance."""
-
-    def __init__(self, message, iterations=None, residual=None):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(message)
+class NoPreimage(RevprojError):
+    """A plane point has no preimage under the map: it lies on or inside the
+    fold circle, the image of the zero-slope abscissa u*, or the inversion
+    seed sits at u* and so selects no side of it."""
 
 
 class DomainExceeded(RevprojError):

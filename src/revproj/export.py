@@ -18,12 +18,12 @@ import numpy as np
 from .errors import CollinearityViolation, IoFailure
 from .profile import DomainInterval, QuadraticProfile, eval_g, profile_jet
 from .projection import ProjectionParams, plane_map
-from .verifier import meridian_deviation
+from .verifier import meridian_deviation, straightness_tolerance
 
 # Internal guard on meridian images before they are collapsed to two-point
-# polylines, as a share of the image scale max(1, max |Phi|): they are
-# straight by construction and round to a few eps of that scale, so anything
-# above this is a bug.
+# polylines, as the unit bound of verifier.straightness_tolerance: they are
+# straight by construction and round to a few eps of its term scale, so
+# anything above this share of it is a bug.
 MERIDIAN_DEVIATION_GUARD = 1e-9
 
 SVG_MARGIN_FRACTION = 0.05
@@ -110,7 +110,7 @@ def export_graticule_svg(
     parallels, _, _ = plane_map(p, params, t_samples[None, :], u_values[:, None])
 
     deviation = meridian_deviation(meridians)[0].max(axis=1)
-    bound = MERIDIAN_DEVIATION_GUARD * max(1.0, float(np.abs(meridians).max()))
+    bound = straightness_tolerance(p, u_samples, MERIDIAN_DEVIATION_GUARD)
     for t, dev in zip(t_values, deviation):
         if dev > bound:
             raise CollinearityViolation("meridian image at t=%g deviates %g from a straight line" % (t, dev))

@@ -249,12 +249,6 @@ def gaussian_curvature(p: QuadraticProfile, u: float) -> float:
     return p.delta / (4.0 * w * w)
 
 
-def metric_coefficients(p: QuadraticProfile, u: float):
-    """First fundamental form (E, F, G) = (1, 0, f(u)^2) of the metric
-    du^2 + f^2 dt^2."""
-    return 1.0, 0.0, (p.c * u + p.d) * u + p.k
-
-
 def embed(p: QuadraticProfile, pt: SurfacePoint, u_ref: float):
     """3D embedding (f cos t, f sin t, g) with g anchored at u_ref."""
     f, _, _ = profile_jet(p, pt.u)

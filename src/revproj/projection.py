@@ -16,7 +16,8 @@ and in complex form z = x + iy the map is one affine expression per meridian,
     w0 = -i (sqrt(k)/sqrt(c)) e^{i theta0},   sigma = +-1 on CASE_A / CASE_B.
 
 ``plane_map`` evaluates it and both partial derivatives on arrays; the
-scalar ``project``, ``jacobian`` and ``frame_functions`` are views of it.
+scalar ``project`` and ``jacobian`` are views of it, and ``invert`` solves it
+in closed form, with no preimage on or inside its fold circle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoPreimage
 from .profile import QuadraticProfile, SurfacePoint
 
 
@@ -45,7 +46,7 @@ class ProjectionParams:
     """Integration constants picking one concrete map out of the family.
 
     c0 shifts b(t); theta0 satisfies sin(theta0) = d/(2 sqrt(ck)); t_base
-    anchors the t-antiderivatives so G2(t_base) = H2(t_base) = 0.
+    anchors the map so that Phi(t_base, 0) = 0.
     """
 
     c0: float
@@ -58,18 +59,6 @@ class ProjectionParams:
 class PlanePoint:
     x: float
     y: float
-
-
-@dataclass(frozen=True)
-class FrameFunctions:
-    """Frame at a fixed t: (g1, h1) is the unit direction of the meridian
-    image, (G2, H2) the anchored antiderivatives whose t-derivatives have
-    norm sqrt(k)."""
-
-    g1: float
-    h1: float
-    G2: float
-    H2: float
 
 
 def make_projection_params(
@@ -105,23 +94,6 @@ def b_slope(params: ProjectionParams, p: QuadraticProfile) -> float:
     return -p.sqrt_c if params.branch is Branch.CASE_A else p.sqrt_c
 
 
-def angle_b(params: ProjectionParams, p: QuadraticProfile, t: float) -> float:
-    return b_slope(params, p) * t + params.c0
-
-
-def omega(p: QuadraticProfile, params: ProjectionParams, t: float, u: float) -> float:
-    """Direction angle of the parallel image tangent: omega = a(u) + b(t)."""
-    a, _ = meridian_turning(p, u)
-    return a + angle_b(params, p, t)
-
-
-def phi(params: ProjectionParams, p: QuadraticProfile, t: float) -> float:
-    """Direction angle of the meridian image: -b(t) on CASE_A,
-    pi - b(t) on CASE_B."""
-    b = angle_b(params, p, t)
-    return -b if params.branch is Branch.CASE_A else math.pi - b
-
-
 def plane_map(p: QuadraticProfile, params: ProjectionParams, t, u):
     """Phi and its two partial derivatives in complex form, z = x + iy, at
     t and u (floats or numpy arrays, broadcast against each other):
@@ -138,22 +110,21 @@ def plane_map(p: QuadraticProfile, params: ProjectionParams, t, u):
     """
     # cmath.exp matches np.exp bit for bit and keeps scalar calls off numpy
     exp = np.exp if isinstance(t, np.ndarray) else cmath.exp
-    bp = b_slope(params, p)
-    sigma = -bp / p.sqrt_c  # +1 on CASE_A, -1 on CASE_B
-    amp = math.sqrt(p.k) / p.sqrt_c
-    w0 = complex(amp * math.sin(params.theta0), -amp * math.cos(params.theta0))
-    # b(t) = b' t + c0, as in angle_b
-    anchor = sigma * exp(-1j * (bp * params.t_base + params.c0)) * w0
+    bp, sigma, w0, anchor = _map_constants(p, params)
     rot = sigma * exp(-1j * (bp * t + params.c0))
     arm = u + w0
-    return rot * arm - anchor, -1j * bp * rot * arm, rot
+    return rot * arm - sigma * anchor, -1j * bp * rot * arm, rot
 
 
-def frame_functions(params: ProjectionParams, p: QuadraticProfile, t: float) -> FrameFunctions:
-    """Frame at t: (g1, h1) = dPhi/du and (G2, H2) = Phi(t, 0), so that
-    Phi(t, u) = (u g1 + G2, u h1 + H2)."""
-    z, _, zu = plane_map(p, params, t, 0.0)
-    return FrameFunctions(g1=float(zu.real), h1=float(zu.imag), G2=float(z.real), H2=float(z.imag))
+def _map_constants(p: QuadraticProfile, params: ProjectionParams):
+    """(b', sigma, w0, e^{-i b(t_base)} w0), the constants of Phi shared by
+    ``plane_map`` and ``invert``."""
+    bp = b_slope(params, p)
+    amp = math.sqrt(p.k) / p.sqrt_c
+    w0 = complex(amp * math.sin(params.theta0), -amp * math.cos(params.theta0))
+    # b(t) = b' t + c0
+    anchor = cmath.exp(-1j * (bp * params.t_base + params.c0)) * w0
+    return bp, -bp / p.sqrt_c, w0, anchor  # sigma = +1 on CASE_A, -1 on CASE_B
 
 
 def project(p: QuadraticProfile, params: ProjectionParams, pt: SurfacePoint) -> PlanePoint:
@@ -174,45 +145,30 @@ def t_period(p: QuadraticProfile) -> float:
     return 2.0 * math.pi / p.sqrt_c
 
 
-def invert(
-    p: QuadraticProfile,
-    params: ProjectionParams,
-    q: PlanePoint,
-    seed: SurfacePoint,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> SurfacePoint:
-    """Invert Phi by Newton iteration with the analytic Jacobian.
+def invert(p: QuadraticProfile, params: ProjectionParams, q: PlanePoint, seed: SurfacePoint) -> SurfacePoint:
+    """Invert Phi in closed form.
 
-    Returns (t, u) with |Phi(t, u) - q| <= tol, with t folded into the
-    period window centred on the seed (the map repeats every 2 pi / sqrt(c)
-    in t, so the seed selects the sheet).  Raises NoConvergence after
-    ``max_iter`` steps or when |det J| falls below 1e-14.
+    Undoing the rigid motion gives z' = sigma q + e^{-i b(t_base)} w0 =
+    e^{-i b(t)} (u + w0), so |z'|^2 = (u - u*)^2 - delta/(4c^2): u is
+    u* +- sqrt(|z'|^2 + delta/(4c^2)) on the seed's side of u*, and
+    b(t) = -arg(z'/(u + w0)).  t is folded into the period window centred on
+    the seed (the map repeats every 2 pi / sqrt(c) in t, so the seed selects
+    the sheet).  Raises NoPreimage for a target on or inside the fold circle
+    |z'| <= sqrt(-delta)/(2c), which only u = u* reaches, and for a seed at
+    u* itself, which picks neither side.
     """
-    t, u = seed.t, seed.u
-    residual = math.inf
-    for iteration in range(max_iter + 1):
-        img = project(p, params, SurfacePoint(t, u))
-        rx, ry = q.x - img.x, q.y - img.y
-        residual = math.hypot(rx, ry)
-        if residual <= tol:
-            period = t_period(p)
-            t -= period * round((t - seed.t) / period)
-            return SurfacePoint(t, u)
-        if iteration == max_iter:
-            break
-        (xt, xu), (yt, yu) = jacobian(p, params, SurfacePoint(t, u)).tolist()
-        det = xt * yu - xu * yt
-        if abs(det) < 1e-14:
-            raise NoConvergence(
-                "Jacobian determinant %g below 1e-14 at (t=%g, u=%g)" % (det, t, u),
-                iterations=iteration,
-                residual=residual,
-            )
-        t += (yu * rx - xu * ry) / det
-        u += (-yt * rx + xt * ry) / det
-    raise NoConvergence(
-        "no convergence to %g after %d iterations (residual %g)" % (tol, max_iter, residual),
-        iterations=max_iter,
-        residual=residual,
-    )
+    if seed.u == p.singular_u:
+        raise NoPreimage("seed u=%g is the zero-slope abscissa u*, which picks neither side" % seed.u)
+    bp, sigma, w0, anchor = _map_constants(p, params)
+    zp = sigma * complex(q.x, q.y) + anchor
+    # |Im w0| = sqrt(-delta)/(2c) and -Re w0 = u*, taken from w0 itself so
+    # that the inverse matches the forward map to rounding
+    r, fold = abs(zp), abs(w0.imag)
+    if not r > fold:
+        raise NoPreimage("target (%g, %g) is not outside the fold circle (|z'| = %g <= %g)" % (q.x, q.y, r, fold))
+    half = math.sqrt((r - fold) * (r + fold))
+    u = -w0.real + (half if seed.u > p.singular_u else -half)
+    t = (-cmath.phase(zp / (u + w0)) - params.c0) / bp
+    period = t_period(p)
+    t -= period * round((t - seed.t) / period)
+    return SurfacePoint(t, u)

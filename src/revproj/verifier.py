@@ -28,7 +28,7 @@ from .profile import (
     profile_jet,
     slope_feasible_span,
 )
-from .projection import ProjectionParams, angle_b, meridian_turning, plane_map
+from .projection import ProjectionParams, b_slope, meridian_turning, plane_map
 
 # Safety factors of isometry_tolerance over its error model.  Over 150 random
 # profiles (c from 1e-3 to 1e3, k from 1e-8 to 1e12, d up to the discriminant
@@ -37,6 +37,11 @@ from .projection import ProjectionParams, angle_b, meridian_turning, plane_map
 FD_ISOMETRY_SAFETY = 16.0
 ANALYTIC_ISOMETRY_SAFETY = 64.0
 ANALYTIC_ISOMETRY_FLOOR = 1e-12
+# verify's meridian-straightness bound at unit term scale, ~4500 eps; over
+# 9,000 meridians (c from 1e-3 to 1e3, k from 1e-8 to 1e14, d up to the
+# discriminant edge, 3 to 96 samples, random c0, t_base, t and branch) the
+# deviations reached 1.02 eps times the term scale.
+STRAIGHTNESS_UNIT_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,8 @@ def isometry_tolerance(
     eps = np.finfo(float).eps
     if h == 0.0:
         return max(ANALYTIC_ISOMETRY_FLOOR, ANALYTIC_ISOMETRY_SAFETY * eps * max(1.0, p.sqrt_c * scale))
-    b_max = max(abs(angle_b(params, p, t_span[0] - h)), abs(angle_b(params, p, t_span[1] + h)))
+    bp = b_slope(params, p)  # b(t) = b' t + c0
+    b_max = max(abs(bp * (t_span[0] - h) + params.c0), abs(bp * (t_span[1] + h) + params.c0))
     f_max = max(profile_jet(p, u_span.lo - h)[0], profile_jet(p, u_span.hi + h)[0])
     return FD_ISOMETRY_SAFETY * (eps * scale * (1.0 + b_max) / h + h * h * p.c * f_max / 6.0)
 
@@ -168,6 +174,23 @@ def meridian_deviation(z):
     length = np.abs(chord)
     direction = np.conj(chord) / np.where(length > 0.0, length, 1.0)
     return np.abs(((z - z[..., :1]) * direction).imag), length[..., 0]
+
+
+def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = STRAIGHTNESS_UNIT_BOUND) -> float:
+    """Bound on the deviations of :func:`meridian_deviation` over meridian
+    images sampled at u_samples: unit_bound times max(1, scale), with
+    scale = max|u| + 2|w0| the term scale.
+
+    Along one meridian every sample shares the rounded rotation e^{-ib(t)},
+    whose error turns the whole line and bends none of it.  Each sample
+    then rounds to a few eps of |u| + |w0| (the arm u + w0 and its product
+    with the rotation) and of |w0| (the anchor subtracted), and measuring
+    it against the chord adds a few eps of the same size, so the deviations
+    are a few eps * scale.  max|Phi| alone would under-count where Phi is a
+    small difference of two large terms.
+    """
+    w0 = math.sqrt(p.k) / p.sqrt_c
+    return unit_bound * max(1.0, float(np.max(np.abs(u_samples))) + 2.0 * w0)
 
 
 def check_meridian_straightness(p, params, t: float, u_samples) -> ResidualReport:

@@ -1,10 +1,21 @@
 """Shared helpers for the test suite."""
 
 import math
+import os
 
 import numpy as np
 
+import revproj
 from revproj import make_quadratic_profile, reference_interval
+
+
+def subprocess_env():
+    """The environment with the imported revproj's source directory first
+    on PYTHONPATH, for tests that run a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revproj.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_profiles(seed, count):

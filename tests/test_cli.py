@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import revproj.verifier as verifier_mod
 from revproj import ResidualReport
 from revproj.cli import cli_dispatch
+from helpers import subprocess_env
 
 
 def run(capsys, *argv):
@@ -27,6 +30,12 @@ class TestProjectCommand:
         assert code == 0
         x, y = (float(v) for v in out.split())
         assert (x, y) == pytest.approx((1.0, 2.0), abs=1e-10)
+
+    def test_python_m_revproj_runs_without_warnings(self):
+        argv = ["project", "--c", "1", "--d", "0", "--k", "1", "--t", "1.5707963267948966", "--u", "1"]
+        out = subprocess.run([sys.executable, "-W", "error", "-m", "revproj", *argv],
+                             env=subprocess_env(), capture_output=True, text=True)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "1 2\n", "")
 
     def test_case_b_and_mirror_accepted(self, capsys):
         code, out, _ = run(capsys, "project", "--c", "1", "--d", "0.5", "--k", "1",
@@ -50,6 +59,30 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1e6", "--grid", "64x64")
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("k", ["1e9", "1e14"])
+    def test_huge_k_straightness_row_passes(self, capsys, k):
+        # the meridian deviation grows with the term scale 2 sqrt(k/c):
+        # 6.2e-12 at k = 1e9 and 1.2e-9 at k = 1e14
+        code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", k)
+        assert code == 0
+        rows = out.strip().splitlines()[1:-1]
+        assert [row.split()[-1] for row in rows] == ["pass"] * 10
+
+    def test_bent_meridians_fail_straightness_row(self, capsys, monkeypatch):
+        # a 1e-10 bend is far below the isometry bounds but 25 times the
+        # straightness bound on this profile (1e-12 times term scale 4)
+        real_map = verifier_mod.plane_map
+
+        def bent(p, params, t, u):
+            z, zt, zu = real_map(p, params, t, u)
+            return z + 1e-10 * np.sin(3 * u), zt, zu
+
+        monkeypatch.setattr(verifier_mod, "plane_map", bent)
+        code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1")
+        assert code == 1
+        failed = [row.split()[0] for row in out.splitlines() if row.endswith("FAIL")]
+        assert failed == ["meridian", "overall:"]
 
     def test_fault_injection_fails_run(self, capsys, monkeypatch):
         real = verifier_mod.check_structural_identities

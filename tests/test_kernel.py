@@ -1,6 +1,7 @@
 """Property tests of the complex array kernel ``plane_map``: against the
-real-form frame (g1, h1, G2, H2) it replaced, and each vectorized check
-against a per-point loop over the scalar wrappers."""
+real-form frame (g1, h1, G2, H2) it replaced, each vectorized check
+against a per-point loop over the scalar wrappers, and the closed-form
+``invert`` against ``project``."""
 
 import math
 
@@ -14,6 +15,7 @@ from revproj import (
     check_local_isometry,
     check_meridian_straightness,
     check_structural_identities,
+    invert,
     jacobian,
     make_projection_params,
     make_quadratic_profile,
@@ -23,6 +25,7 @@ from revproj import (
     profile_jet,
     project,
     reference_interval,
+    t_period,
 )
 
 EPS = np.finfo(float).eps
@@ -38,11 +41,12 @@ def term_scale(p, us):
 
 
 @st.composite
-def maps(draw):
-    """An admissible profile with c below or above 1, either branch,
-    principal or mirrored theta0, and random c0 and t_base."""
-    c = draw(st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 5.0)))
-    k = draw(st.floats(0.05, 5.0))
+def maps(draw, cs=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 5.0)), ks=st.floats(0.05, 5.0)):
+    """An admissible profile with c and k drawn from ``cs`` and ``ks`` (by
+    default c below or above 1), either branch, principal or mirrored
+    theta0, and random c0 and t_base."""
+    c = draw(cs)
+    k = draw(ks)
     d = draw(st.floats(-0.95, 0.95)) * 2.0 * math.sqrt(c * k)
     p = make_quadratic_profile(c, d, k)
     params = make_projection_params(
@@ -177,3 +181,40 @@ def test_structural_check_matches_loop(case, fractions):
             scales[i] = max(scales[i], sum(abs(v) for v in row))
     for rep, residuals, scale in zip(check_structural_identities(p, us), rows, scales):
         assert_report_matches(rep, residuals, us, ULPS * EPS * max(1.0, scale))
+
+
+def log_floats(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    maps(cs=log_floats(-2.0, 2.0), ks=log_floats(-3.0, 3.0)),
+    st.floats(0.0, 1.0),
+    st.integers(-3, 3),
+    st.sampled_from([-1.0, 1.0]),
+    log_floats(-2.0, 1.0),
+    st.floats(-0.45, 0.45),
+    log_floats(-2.0, 1.0),
+)
+def test_invert_recovers_point(case, t_frac, sheet, side, offset, seed_dt, seed_offset):
+    p, params = case
+    period = t_period(p)
+    t = (t_frac + sheet) * period
+    u = p.singular_u + side * offset * math.sqrt(p.k / p.c)
+    q = project(p, params, SurfacePoint(t, u))
+    # a seed on the same side of u* and within half a period of t
+    got = invert(p, params, q, SurfacePoint(t + seed_dt * period, p.singular_u + side * seed_offset))
+
+    # Phi rounds to a few eps of its terms, |u| + 2|w0|, and the rounded
+    # phase b = b' t + c0 turns them by eps |b| more
+    b = p.sqrt_c * abs(t) + abs(params.c0)
+    scale = (1.0 + abs(u) + 2.0 * math.sqrt(p.k) / p.sqrt_c) * (1.0 + b)
+    back = project(p, params, got)
+    assert abs(complex(back.x - q.x, back.y - q.y)) <= ULPS * EPS * scale
+    # |det J| = sqrt(c) |u - u*| and the larger column norm is at most
+    # 1 + f, so (t, u) moves by at most that error over sqrt(c) |u - u*| / (1 + f)
+    f = profile_jet(p, u)[0]
+    tol = ULPS * EPS * scale * (1.0 + f) / (p.sqrt_c * abs(u - p.singular_u))
+    assert abs(got.t - t) <= tol
+    assert abs(got.u - u) <= tol

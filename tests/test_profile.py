@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import revproj
 from revproj import (
     DomainInterval,
     EmptyDomain,
@@ -21,11 +19,10 @@ from revproj import (
     eval_g,
     gaussian_curvature,
     make_quadratic_profile,
-    metric_coefficients,
     profile_jet,
     reference_interval,
 )
-from helpers import random_profiles
+from helpers import random_profiles, subprocess_env
 
 
 @st.composite
@@ -175,12 +172,6 @@ class TestCurvatureAndMetric:
                 assert gaussian_curvature(p, u) == pytest.approx(-fpp / f, abs=1e-12, rel=1e-12)
                 assert gaussian_curvature(p, u) < 0
 
-    def test_metric_values(self, fig1):
-        assert metric_coefficients(fig1, 1.0) == (1.0, 0.0, 2.0)
-        assert metric_coefficients(make_quadratic_profile(1, 1, 1), 0.0) == (1.0, 0.0, 1.0)
-        E, F, G = metric_coefficients(make_quadratic_profile(2, 0, 1), 0.5)
-        assert (E, F, G) == (1.0, 0.0, pytest.approx(1.5, abs=1e-15))
-
 
 class TestEmbed:
     def test_spot_values(self, fig1):
@@ -219,9 +210,6 @@ class TestGeneralProfile:
 
 def test_import_loads_no_scipy():
     # scipy is imported only by eval_g and GeneralProfile.from_table
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(revproj.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, revproj; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

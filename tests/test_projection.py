@@ -5,18 +5,14 @@ import pytest
 
 from revproj import (
     Branch,
-    NoConvergence,
+    NoPreimage,
     PlanePoint,
     SurfacePoint,
-    angle_b,
-    frame_functions,
     invert,
     jacobian,
     make_projection_params,
     make_quadratic_profile,
     meridian_turning,
-    omega,
-    phi,
     profile_jet,
     project,
     reference_interval,
@@ -58,38 +54,50 @@ class TestMeridianTurning:
                 assert ap * ap == pytest.approx(fpp / f, rel=1e-12)
 
 
+def meridian_angle(p, params, t):
+    """Direction angle of the meridian image at t: the angle of dPhi/du,
+    the u-column of the Jacobian."""
+    jac = jacobian(p, params, SurfacePoint(t, 0.0))
+    return math.atan2(jac[1, 1], jac[0, 1])
+
+
+def frame(p, params, t):
+    """(g1, h1, G2, H2) with Phi(t, u) = (u g1 + G2, u h1 + H2): (g1, h1) is
+    the u-column of the Jacobian and (G2, H2) = Phi(t, 0)."""
+    q = project(p, params, SurfacePoint(t, 0.0))
+    g1, h1 = jacobian(p, params, SurfacePoint(t, 0.0))[:, 1]
+    return g1, h1, q.x, q.y
+
+
 class TestAngles:
+    """The line angle b(t) = b' t + c0 read off the map: the meridian image
+    runs along e^{-i b} on CASE_A and along -e^{-i b} = e^{i (pi - b)} on
+    CASE_B."""
+
     def test_angle_b_case_a(self, fig1, fig1_params):
-        assert angle_b(fig1_params, fig1, math.pi / 2) == pytest.approx(-1.5707963, abs=1e-7)
+        assert -meridian_angle(fig1, fig1_params, math.pi / 2) == pytest.approx(-1.5707963, abs=1e-7)
         p = make_quadratic_profile(4, 0, 1)
         params = make_projection_params(p, c0=1.0)
-        assert angle_b(params, p, 0.5) == pytest.approx(0.0, abs=1e-15)
+        assert -meridian_angle(p, params, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_angle_b_case_b_is_mirrored(self, fig1):
         params = make_projection_params(fig1, branch=Branch.CASE_B)
-        assert angle_b(params, fig1, math.pi / 2) == pytest.approx(1.5707963, abs=1e-7)
-
-    def test_omega_and_phi(self, fig1, fig1_params):
-        assert omega(fig1, fig1_params, math.pi / 2, 1.0) == pytest.approx(-0.7853982, abs=1e-7)
-        assert omega(fig1, fig1_params, 0.0, 0.0) == 0.0
-        assert phi(fig1_params, fig1, math.pi / 2) == pytest.approx(1.5707963, abs=1e-7)
+        assert math.pi - meridian_angle(fig1, params, math.pi / 2) == pytest.approx(1.5707963, abs=1e-7)
 
     def test_phi_case_b(self, fig1):
         params = make_projection_params(fig1, branch=Branch.CASE_B)
         t = 0.7
-        assert phi(params, fig1, t) == pytest.approx(math.pi - angle_b(params, fig1, t), abs=1e-15)
+        b = fig1.sqrt_c * t + params.c0
+        assert meridian_angle(fig1, params, t) == pytest.approx(math.pi - b, abs=1e-15)
 
 
 class TestFrameFunctions:
     def test_anchored_at_base(self, fig1, fig1_params):
-        fr = frame_functions(fig1_params, fig1, 0.0)
-        assert (fr.g1, fr.h1, fr.G2, fr.H2) == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-15)
+        assert frame(fig1, fig1_params, 0.0) == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-15)
 
     def test_quarter_and_half_turn(self, fig1, fig1_params):
-        fr = frame_functions(fig1_params, fig1, math.pi / 2)
-        assert (fr.g1, fr.h1, fr.G2, fr.H2) == pytest.approx((0.0, 1.0, 1.0, 1.0), abs=1e-12)
-        fr = frame_functions(fig1_params, fig1, math.pi)
-        assert (fr.g1, fr.h1, fr.G2, fr.H2) == pytest.approx((-1.0, 0.0, 0.0, 2.0), abs=1e-12)
+        assert frame(fig1, fig1_params, math.pi / 2) == pytest.approx((0.0, 1.0, 1.0, 1.0), abs=1e-12)
+        assert frame(fig1, fig1_params, math.pi) == pytest.approx((-1.0, 0.0, 0.0, 2.0), abs=1e-12)
 
     def test_direction_is_unit_and_antiderivative_speed_is_sqrt_k(self):
         h = 1e-6
@@ -97,11 +105,11 @@ class TestFrameFunctions:
             for branch in (Branch.CASE_A, Branch.CASE_B):
                 params = make_projection_params(p, c0=0.3, branch=branch)
                 for t in np.linspace(-2, 2, 9):
-                    fr = frame_functions(params, p, t)
-                    assert math.hypot(fr.g1, fr.h1) == pytest.approx(1.0, abs=1e-12)
-                    fp = frame_functions(params, p, t + h)
-                    fm = frame_functions(params, p, t - h)
-                    speed = math.hypot((fp.G2 - fm.G2) / (2 * h), (fp.H2 - fm.H2) / (2 * h))
+                    g1, h1, _, _ = frame(p, params, t)
+                    assert math.hypot(g1, h1) == pytest.approx(1.0, abs=1e-12)
+                    _, _, G2p, H2p = frame(p, params, t + h)
+                    _, _, G2m, H2m = frame(p, params, t - h)
+                    speed = math.hypot((G2p - G2m) / (2 * h), (H2p - H2m) / (2 * h))
                     assert speed == pytest.approx(math.sqrt(p.k), rel=1e-7)
 
 
@@ -181,7 +189,8 @@ class TestJacobian:
         for p in random_profiles(71, 10):
             params = make_projection_params(p)
             span = reference_interval(p)
-            for u in np.linspace(span.lo, span.hi, 7):
+            # u = 0 included: there |dPhi/dt| = f(0) = sqrt(k)
+            for u in [0.0, *np.linspace(span.lo, span.hi, 7)]:
                 jac = jacobian(p, params, SurfacePoint(1.3, u))
                 f, _, _ = profile_jet(p, u)
                 assert np.hypot(*jac[:, 0]) == pytest.approx(f, abs=1e-12, rel=1e-12)
@@ -212,13 +221,17 @@ class TestInvert:
         assert got.t == pytest.approx(0.5 + 3 * period, abs=1e-8)
 
     def test_singular_jacobian_raises(self, fig1, fig1_params):
-        # u = 0 is the zero-slope abscissa of this profile, where det J = 0
-        with pytest.raises(NoConvergence):
+        # u = 0 is the zero-slope abscissa u* of this profile, where det J = 0;
+        # a seed there lies on neither side of u*, so it picks no preimage
+        with pytest.raises(NoPreimage):
             invert(fig1, fig1_params, PlanePoint(5.0, 5.0), SurfacePoint(0.5, 0.0))
 
     def test_unreachable_target_raises(self, fig1, fig1_params):
-        with pytest.raises(NoConvergence):
-            invert(fig1, fig1_params, PlanePoint(1e6, 1e6), SurfacePoint(0.5, 1.0), max_iter=5)
+        # the fold circle of this profile is |q - i| = 1, the image of u* = 0:
+        # targets on it or inside it have no preimage
+        for q in (PlanePoint(1.0, 1.0), PlanePoint(0.0, 1.0)):
+            with pytest.raises(NoPreimage):
+                invert(fig1, fig1_params, q, SurfacePoint(0.5, 1.0))
 
 
 class TestBranchCongruence:
