@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -225,7 +226,10 @@ def _cmd_table(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each handler looks up what it calls at call time."""
     parser = argparse.ArgumentParser(
         prog="revproj",
         description="Plane projections of surfaces of revolution with quadratic squared profile.",

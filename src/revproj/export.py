@@ -154,23 +154,23 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     t = 2 pi by wrapping the last ring of faces back to the first."""
     nt, nu = spec.t_divisions, spec.u_divisions
     u_values = np.linspace(spec.u_range.lo, spec.u_range.hi, nu)
-    radii = profile_jet(p, u_values)[0].tolist()
-    heights = [eval_g(p, u, spec.u_ref) for u in u_values.tolist()]
+    radii = profile_jet(p, u_values)[0]
+    heights = [_fmt(eval_g(p, u, spec.u_ref)) for u in u_values.tolist()]
 
-    rows = []
-    for i in range(nt):
-        t = 2.0 * math.pi * i / nt
-        cos_t, sin_t = math.cos(t), math.sin(t)
-        for f, z in zip(radii, heights):
-            rows.append("v %s %s %s" % (_fmt(f * cos_t), _fmt(f * sin_t), _fmt(z)))
+    angles = [2.0 * math.pi * i / nt for i in range(nt)]
+    xs = np.multiply.outer([math.cos(t) for t in angles], radii).tolist()
+    ys = np.multiply.outer([math.sin(t) for t in angles], radii).tolist()
+    rows = [
+        "v %s %s %s" % (_fmt(x), _fmt(y), z)
+        for x_ring, y_ring in zip(xs, ys)
+        for x, y, z in zip(x_ring, y_ring, heights)
+    ]
 
-    def vid(i, j):
-        return i * nu + j + 1
-
-    for i in range(nt):
-        i_next = (i + 1) % nt
-        for j in range(nu - 1):
-            rows.append("f %d %d %d %d" % (vid(i, j), vid(i_next, j), vid(i_next, j + 1), vid(i, j + 1)))
+    # 1-based ids of vertex (i, j) and of its neighbour (i + 1 mod nt, j)
+    here = np.arange(nt)[:, None] * nu + np.arange(1, nu)[None, :]
+    ahead = np.roll(here, -1, axis=0)
+    quads = np.stack([here, ahead, ahead + 1, here + 1], axis=-1).reshape(-1, 4).tolist()
+    rows += ["f %d %d %d %d" % tuple(quad) for quad in quads]
 
     _atomic_write(path, "\n".join(rows) + "\n")
     return {"path": path, "vertices": nt * nu, "faces": nt * (nu - 1)}

@@ -244,7 +244,8 @@ def eval_g(p: QuadraticProfile, u: float, u_ref: float) -> float:
 
 
 def gaussian_curvature(p: QuadraticProfile, u: float) -> float:
-    """K = -f''/f = delta / (4 f^4); strictly negative on this family."""
+    """K = -f''/f = delta / (4 f^4); strictly negative on this family.
+    u may be a float or a numpy array."""
     w = (p.c * u + p.d) * u + p.k
     return p.delta / (4.0 * w * w)
 

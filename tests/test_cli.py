@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import revproj.cli as cli_mod
 import revproj.verifier as verifier_mod
 from revproj import ResidualReport
 from revproj.cli import cli_dispatch
@@ -234,3 +235,23 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
+
+
+class TestParserCache:
+    SEQUENCE = [
+        ("verify", "--c", "1", "--d", "0.5", "--k", "2", "--seed", "7"),
+        ("verify", "--c", "1", "--d", "0.5", "--k", "2", "--grid", "1x1"),
+        ("verify", "--c", "1", "--d", "0.5", "--k", "2"),
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+
+    def test_reused_parser_prints_what_a_fresh_one_prints(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli_mod._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        reused = [run(capsys, *argv) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in fresh] == [0, 2, 0]
+        assert reused == fresh

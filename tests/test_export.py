@@ -15,6 +15,7 @@ from revproj import (
     MeshSpec,
     PlanePoint,
     SurfacePoint,
+    eval_g,
     export_graticule_svg,
     export_mesh_obj,
     invert,
@@ -183,6 +184,15 @@ class TestMeshObj:
         last = tuple(int(v) for v in faces[-1].split()[1:])
         assert last == (11, 2, 3, 12)
 
+    @pytest.mark.parametrize("coeffs, u_range", [((1.0, 0.0, 1.0), (0.05, 2.0)), ((2.5, -1.0, 0.6), (0.25, 0.55))])
+    @pytest.mark.parametrize("nt", [7, 64])
+    def test_bytes_match_per_vertex_loop(self, coeffs, u_range, nt, tmp_path):
+        p = make_quadratic_profile(*coeffs)
+        spec = MeshSpec(nt, 9, DomainInterval(*u_range), u_range[0])
+        path = tmp_path / "mesh.obj"
+        export_mesh_obj(p, spec, str(path))
+        assert path.read_bytes() == _per_vertex_obj(p, spec).encode()
+
     def test_no_nan_tokens_in_any_emitted_file(self, fig1, fig1_params, tmp_path):
         export_mesh_obj(fig1, MeshSpec(8, 8, DomainInterval(0.05, 2.0), 0.05), str(tmp_path / "clean.obj"))
         export_graticule_svg(
@@ -191,6 +201,30 @@ class TestMeshObj:
         sample_table_csv(fig1, fig1_params, [(0.1, 0.5), (1.0, 1.5)], str(tmp_path / "clean.csv"))
         for name in ("clean.obj", "clean.svg", "clean.csv"):
             assert "nan" not in (tmp_path / name).read_text().lower()
+
+
+def _per_vertex_obj(p, spec):
+    """OBJ text built one vertex and one face at a time, the height formatted
+    for every vertex."""
+    nt, nu = spec.t_divisions, spec.u_divisions
+    u_values = np.linspace(spec.u_range.lo, spec.u_range.hi, nu)
+    radii = profile_jet(p, u_values)[0].tolist()
+    heights = [eval_g(p, u, spec.u_ref) for u in u_values.tolist()]
+    rows = []
+    for i in range(nt):
+        t = 2.0 * math.pi * i / nt
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        for f, z in zip(radii, heights):
+            rows.append("v %r %r %r" % (f * cos_t, f * sin_t, z))
+
+    def vid(i, j):
+        return i * nu + j + 1
+
+    for i in range(nt):
+        i_next = (i + 1) % nt
+        for j in range(nu - 1):
+            rows.append("f %d %d %d %d" % (vid(i, j), vid(i_next, j), vid(i_next, j + 1), vid(i, j + 1)))
+    return "\n".join(rows) + "\n"
 
 
 class TestSampleTableCsv:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revproj import (
     DegenerateLine,
@@ -17,6 +19,7 @@ from revproj import (
     isometry_tolerance,
     make_projection_params,
     make_quadratic_profile,
+    meridian_turning,
     ode_oracle_a,
     profile_jet,
     pseudosphere_profile,
@@ -148,6 +151,58 @@ class TestOdeOracle:
     def test_step_bound_enforced(self, fig1):
         with pytest.raises(ValueError):
             ode_oracle_a(fig1, 0.5, 2.0, 0.05)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.floats(0.1, 4.0),
+        k=st.floats(0.1, 4.0),
+        skew=st.floats(-0.95, 0.95),
+        side=st.sampled_from([-1.0, 1.0]),
+        gap=st.floats(0.05, 2.0),
+        backwards=st.booleans(),
+        n_steps=st.integers(1, 50),
+        step=st.floats(1e-4, 1e-2),
+        short=st.floats(0.0, 0.9),
+    )
+    def test_matches_per_call_rhs_loop(self, c, k, skew, side, gap, backwards, n_steps, step, short):
+        # windows on either side of u*, run either way, spanning 1 to 50 steps
+        p = make_quadratic_profile(c, skew * 2.0 * math.sqrt(c * k), k)
+        near = p.singular_u + side * gap
+        far = near + side * step * (n_steps - short)
+        u0, u1 = (far, near) if backwards else (near, far)
+        rep = ode_oracle_a(p, u0, u1, step)
+        ref_max, ref_mean, ref_samples = _rk4_per_call_reference(p, u0, u1, step)
+        assert rep.samples == ref_samples == math.ceil(abs(u1 - u0) / step) + 1
+        assert 2 <= rep.samples <= 52
+        assert abs(rep.max_abs_residual - ref_max) < 1e-13
+        assert abs(rep.mean_abs_residual - ref_mean) < 1e-13
+        assert type(rep.worst_point) is float
+        assert min(u0, u1) - 1e-12 <= rep.worst_point <= max(u0, u1) + 1e-12
+
+
+def _rk4_per_call_reference(p, u0, u1, step):
+    """(max error, mean error, samples) of classical RK4 with one profile_jet
+    call per stage and the position accumulated step by step."""
+
+    def rhs(u, a, ap):
+        f, fp, _ = profile_jet(p, u)
+        return ap, -2.0 * fp / f * ap
+
+    a, ap = meridian_turning(p, u0)
+    errors = [0.0]
+    n_steps = math.ceil(abs(u1 - u0) / step)
+    h = (u1 - u0) / n_steps
+    u = u0
+    for _ in range(n_steps):
+        k1a, k1p = rhs(u, a, ap)
+        k2a, k2p = rhs(u + 0.5 * h, a + 0.5 * h * k1a, ap + 0.5 * h * k1p)
+        k3a, k3p = rhs(u + 0.5 * h, a + 0.5 * h * k2a, ap + 0.5 * h * k2p)
+        k4a, k4p = rhs(u + h, a + h * k3a, ap + h * k3p)
+        a += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
+        ap += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        u += h
+        errors.append(abs(a - meridian_turning(p, u)[0]))
+    return max(errors), sum(errors) / len(errors), len(errors)
 
 
 class TestExistenceClassifier:
