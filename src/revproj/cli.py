@@ -297,10 +297,34 @@ def _build_parser():
     return parser
 
 
+def _is_negative_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_negative_values(argv):
+    """argv with each ``--flag -1e-3`` spelled ``--flag=-1e-3``.  argparse
+    takes a token that starts with '-' for an option unless it is a plain
+    decimal, so a negative value in exponent notation would otherwise fail
+    with "expected one argument"; every long flag here but --help takes
+    one value."""
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and flag not in ("--", "--help") and _is_negative_number(token):
+            out[-1] = flag + "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def cli_dispatch(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -155,7 +155,7 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     nt, nu = spec.t_divisions, spec.u_divisions
     u_values = np.linspace(spec.u_range.lo, spec.u_range.hi, nu)
     radii = profile_jet(p, u_values)[0]
-    heights = [_fmt(eval_g(p, u, spec.u_ref)) for u in u_values.tolist()]
+    heights = [_fmt(g) for g in eval_g(p, u_values, spec.u_ref).tolist()]
 
     angles = [2.0 * math.pi * i / nt for i in range(nt)]
     xs = np.multiply.outer([math.cos(t) for t in angles], radii).tolist()

@@ -6,14 +6,16 @@ du^2 + f(u)^2 dt^2.  This module implements the family
 
     f(u)^2 = c u^2 + d u + k        (c > 0, k > 0, d^2 - 4ck < 0)
 
-with all derivatives in closed form, the height function g recovered by
-quadrature from (f')^2 + (g')^2 = 1, the Gaussian curvature K = -f''/f,
-and the 3D embedding.  It also carries ``GeneralProfile``, an arbitrary
-sampled or callable radius function used by the existence classifier.
+with all derivatives in closed form, the height function g from
+(f')^2 + (g')^2 = 1 in closed form (Carlson's symmetric elliptic
+integrals), the Gaussian curvature K = -f''/f, and the 3D embedding.  It
+also carries ``GeneralProfile``, an arbitrary sampled or callable radius
+function used by the existence classifier.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -84,6 +86,15 @@ class QuadraticProfile:
         """Abscissa u* = -d/(2c) where f' vanishes; excluded from charts."""
         return -self.d / (2.0 * self.c)
 
+    def radius_sq(self, u):
+        """f(u)^2 = (c u + d) u + k at u, a float or a numpy array."""
+        return (self.c * u + self.d) * u + self.k
+
+    @property
+    def radius_sq_min(self) -> float:
+        """m = f(u*)^2 = -delta/(4c), so that f^2 = c (u - u*)^2 + m."""
+        return -self.delta / (4.0 * self.c)
+
 
 @dataclass(frozen=True)
 class GeneralProfile:
@@ -107,10 +118,51 @@ class GeneralProfile:
             raise ValueError("table u-values must be strictly increasing")
         if not np.all(f > 0):
             raise ValueError("table f-values must be positive")
-        from scipy.interpolate import PchipInterpolator
+        return cls(evaluator=_pchip(u, f), domain=DomainInterval(float(u[0]), float(u[-1])))
 
-        interp = PchipInterpolator(u, f)
-        return cls(evaluator=lambda x: float(interp(x)), domain=DomainInterval(float(u[0]), float(u[-1])))
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Three-point one-sided slope at a table end, reset to 0 where its sign
+    differs from the end secant m0 and clipped to 3 m0 where the secants
+    change sign, so the end cubic stays monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(u, f):
+    """Scalar evaluator of the monotone piecewise-cubic Hermite interpolant
+    through the table (u, f) (F. N. Fritsch and R. E. Carlson, SIAM J.
+    Numer. Anal. 17 (1980) 238-246), with the slopes of scipy's
+    PchipInterpolator: inside, the weighted harmonic mean of the two
+    neighbouring secants, or 0 where they differ in sign or one is 0; at
+    each end, ``_pchip_end_slope``.  Outside [u[0], u[-1]] the end cubics
+    extrapolate."""
+    h = np.diff(u)
+    m = np.diff(f) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    inner = np.where(np.sign(m[1:]) * np.sign(m[:-1]) > 0, inner, 0.0)
+    slopes = np.concatenate((
+        [_pchip_end_slope(h[0], h[1], m[0], m[1])], inner, [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]
+    ))
+    # each interval's cubic in s = x - u[i], highest power first
+    t = (slopes[:-1] + slopes[1:] - 2.0 * m) / h
+    cubics = list(zip((t / h).tolist(), ((m - slopes[:-1]) / h - t).tolist(), slopes[:-1].tolist(), f[:-1].tolist()))
+    knots = u.tolist()
+    last = len(cubics) - 1
+
+    def evaluate(x):
+        i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
+        c3, c2, c1, c0 = cubics[i]
+        s = x - knots[i]
+        return float(((c3 * s + c2) * s + c1) * s + c0)
+
+    return evaluate
 
 
 def make_quadratic_profile(c: float, d: float, k: float) -> QuadraticProfile:
@@ -148,7 +200,7 @@ def profile_jet(p: QuadraticProfile, u: float):
 
     f = sqrt(c u^2 + d u + k), f' = (2cu + d)/(2f), f'' = (4ck - d^2)/(4 f^3).
     """
-    w = (p.c * u + p.d) * u + p.k
+    w = p.radius_sq(u)
     f = math.sqrt(w) if isinstance(w, float) else np.sqrt(w)
     f_prime = (2.0 * p.c * u + p.d) / (2.0 * f)
     f_second = -p.delta / (4.0 * f * w)
@@ -213,40 +265,110 @@ def reference_interval(p: QuadraticProfile, span: float = 1.8, margin: float = 0
     return admissible_interval(p, DomainInterval(us + 0.10 * half, us + 0.85 * half))
 
 
-def _arc_integrand(p: QuadraticProfile, s: float) -> float:
-    _, fp, _ = profile_jet(p, s)
-    radicand = 1.0 - fp * fp
-    if radicand < -1e-12:
+# Carlson's stopping rule for R_D, 4^-n (r/4)^(-1/6) spread < A_n with
+# r = 2^-53 and spread >= max|A_0 - argument|, holds after at most 14
+# duplications for any spread a double can hold (R_F's rule is weaker).  A
+# fixed count keeps every element's rounding independent of the others in
+# its array, so an array call equals the scalar calls bit for bit.
+_DUPLICATIONS = 16
+
+
+def _carlson_rf_rd(y, z):
+    """R_F(1, y, z) and R_D(y, z, 1) for arrays y >= 0, z > 0, by Carlson's
+    duplication (DLMF 19.36(i); B. C. Carlson, arXiv:math/9409227).  The two
+    integrals take the same three arguments, so one loop serves both; each
+    ends with its fifth-order series in the deviations from the mean."""
+    args = np.stack((np.ones_like(y), y, z))  # row 0: R_D's third argument
+    a_f, a_d = (1.0 + y + z) / 3.0, (y + z + 3.0) / 5.0
+    tail, scale = 0.0, 1.0
+    for _ in range(_DUPLICATIONS):
+        r = np.sqrt(args)
+        lam = r[0] * (r[1] + r[2]) + r[1] * r[2]
+        tail = tail + scale / (r[0] * (args[0] + lam))
+        args = (args + lam) * 0.25
+        scale *= 0.25
+    mean_f, mean_d = args.sum(axis=0) / 3.0, (args[1] + args[2] + 3.0 * args[0]) / 5.0
+
+    dx, dy = (a_f - 1.0) * scale / mean_f, (a_f - y) * scale / mean_f
+    dz = -dx - dy
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean_f)
+
+    dx, dy = (a_d - y) * scale / mean_d, (a_d - z) * scale / mean_d
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2, e3, e4, e5 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz, 3.0 * (xy - zz) * zz, xy * zz * dz
+    series = 1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0
+    rd = scale * series / (mean_d * np.sqrt(mean_d)) + 3.0 * tail
+    return rf, rd
+
+
+def _height_from_axis(alpha, beta, x):
+    """G(x) = integral_0^x sqrt((1 + alpha s^2)/(1 + beta s^2)) ds
+            = x R_F(1, 1 + alpha x^2, 1 + beta x^2)
+              + (alpha x^3/3) R_D(1 + alpha x^2, 1 + beta x^2, 1)."""
+    xx = x * x
+    rf, rd = _carlson_rf_rd(np.maximum(1.0 + alpha * xx, 0.0), 1.0 + beta * xx)
+    return x * rf + alpha * x * xx / 3.0 * rd
+
+
+def _height_between(p: QuadraticProfile, u, u_ref: float):
+    """eval_g on a 1-D array u with no element equal to u_ref."""
+    m = p.radius_sq_min
+    alpha, beta = (1.0 - p.c) * p.c / m, p.c / m
+    x, y = u - p.singular_u, u_ref - p.singular_u
+    ends_sq = np.append(x, y) ** 2
+    num, den = 1.0 + alpha * ends_sq, 1.0 + beta * ends_sq
+    slack = num / den  # 1 - f'^2 at every end of a path
+    worst = int(np.argmin(slack))
+    if slack[worst] < -1e-12:
         raise InfeasibleArcLength(
-            "f'(%g)^2 = %g exceeds 1; the profile is not arc-length feasible there" % (s, fp * fp)
+            "f'(%g)^2 = %g exceeds 1; the profile is not arc-length feasible there"
+            % (np.append(u, u_ref)[worst], 1.0 - slack[worst])
         )
-    return math.sqrt(radicand) if radicand > 0.0 else 0.0
+    root = np.sqrt(np.maximum(num, 0.0) * den)
+    same_side = x * y > 0.0
+    # turn is 0 only with both ends on the feasibility edge (within the
+    # slack above), where the integrand vanishes: then z = 0 and g = 0
+    turn = x * root[-1] + y * root[:-1]
+    z = np.where(same_side, np.divide((u - u_ref) * (x + y), turn, out=np.zeros_like(turn), where=turn != 0.0), x)
+    heights = _height_from_axis(alpha, beta, np.append(z, y))
+    return heights[:-1] + np.where(same_side, alpha * x * y * z, -heights[-1])
 
 
-def eval_g(p: QuadraticProfile, u: float, u_ref: float) -> float:
-    """Height g(u) = integral of sqrt(1 - f'(s)^2) from u_ref to u.
+def eval_g(p: QuadraticProfile, u, u_ref: float):
+    """Height g(u) = integral of sqrt(1 - f'(s)^2) from u_ref to u, at u a
+    float or a numpy array; g(u_ref) = 0.
 
-    Normalized so g(u_ref) = 0.  Adaptive quadrature, absolute error
-    below 1e-10.  Raises InfeasibleArcLength if the slope leaves the
-    feasible band anywhere on the path (for this family f'^2 attains its
-    maximum at the endpoints, so both are checked up front).
+    In closed form: with x = u - u*, m = f(u*)^2, alpha = (1 - c) c/m and
+    beta = c/m the integrand is sqrt((1 + alpha x^2)/(1 + beta x^2)), whose
+    integral G from u* is a sum of Carlson's R_F and R_D
+    (``_height_from_axis``).  G is odd, so for u and u_ref on opposite sides
+    of u* the height G(x) - G(x_ref) adds two terms of one sign.  On one
+    side that difference would cancel, so the addition theorem is used
+    instead: G(x) - G(y) = G(z) + alpha x y z with
+    z = (u - u_ref)(x + y)/(x R(y) + y R(x)),
+    R(s) = sqrt((1 + alpha s^2)(1 + beta s^2)), which keeps the error at a
+    few ulps of |u - u_ref| rather than of |x|.  For c = 1 it reduces to
+    asinh(sqrt(beta) x)/sqrt(beta).
+
+    Raises InfeasibleArcLength if the slope leaves the feasible band
+    anywhere on a path (for this family f'^2 attains its maximum at the
+    endpoints, so u and u_ref are checked).
     """
-    if u == u_ref:
-        return 0.0
-    from scipy.integrate import quad
-
-    _arc_integrand(p, u)
-    _arc_integrand(p, u_ref)
-    value, _estimate = quad(
-        lambda s: _arc_integrand(p, s), u_ref, u, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    return value
+    u_arr = np.asarray(u, dtype=float)
+    flat = u_arr.ravel()
+    moved = flat != u_ref
+    g = np.zeros_like(flat)
+    if moved.any():
+        g[moved] = _height_between(p, flat[moved], float(u_ref))
+    return float(g[0]) if u_arr.ndim == 0 else g.reshape(u_arr.shape)
 
 
 def gaussian_curvature(p: QuadraticProfile, u: float) -> float:
     """K = -f''/f = delta / (4 f^4); strictly negative on this family.
     u may be a float or a numpy array."""
-    w = (p.c * u + p.d) * u + p.k
+    w = p.radius_sq(u)
     return p.delta / (4.0 * w * w)
 
 

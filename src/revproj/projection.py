@@ -84,8 +84,7 @@ def meridian_turning(p: QuadraticProfile, u: float):
     a' = (sqrt(-delta)/2) / f(u)^2; u may be a float or a numpy array."""
     x = 2.0 * p.c / p.sqrt_neg_delta * (u + p.d / (2.0 * p.c))
     a = math.atan(x) if isinstance(x, float) else np.arctan(x)
-    w = (p.c * u + p.d) * u + p.k
-    a_prime = 0.5 * p.sqrt_neg_delta / w
+    a_prime = 0.5 * p.sqrt_neg_delta / p.radius_sq(u)
     return a, a_prime
 
 

@@ -38,6 +38,22 @@ class TestProjectCommand:
                              env=subprocess_env(), capture_output=True, text=True)
         assert (out.returncode, out.stdout, out.stderr) == (0, "1 2\n", "")
 
+    def test_negative_c0_in_exponent_notation(self, capsys):
+        argv = ["project", "--c", "1", "--d", "0", "--k", "1", "--t", "0.3", "--u", "1"]
+        spelled = run(capsys, *argv, "--c0", "-2.5e+00")
+        assert spelled == run(capsys, *argv, "--c0=-2.5")
+        assert spelled[0] == 0
+
+    @pytest.mark.parametrize("argv, joined", [
+        (["verify", "--d", "-1e-3", "--k", "-2"], ["verify", "--d=-1e-3", "--k=-2"]),
+        (["project", "--t", "-inf", "--u", "-.5E+1"], ["project", "--t=-inf", "--u=-.5E+1"]),
+        (["verify", "--help", "-1e-3"], ["verify", "--help", "-1e-3"]),
+        (["table", "-o", "-1e-3", "--grid", "-2x2"], ["table", "-o", "-1e-3", "--grid", "-2x2"]),
+        (["verify", "--d=-1", "-1e-3"], ["verify", "--d=-1", "-1e-3"]),
+    ])
+    def test_negative_values_are_joined_to_their_flag(self, argv, joined):
+        assert cli_mod._join_negative_values(argv) == joined
+
     def test_case_b_and_mirror_accepted(self, capsys):
         code, out, _ = run(capsys, "project", "--c", "1", "--d", "0.5", "--k", "1",
                            "--case", "b", "--theta0-branch", "mirror", "--t", "0.3", "--u", "1")
@@ -46,6 +62,11 @@ class TestProjectCommand:
 
 
 class TestVerifyCommand:
+    def test_negative_d_in_exponent_notation(self, capsys):
+        spelled = run(capsys, "verify", "--c", "1", "--d", "-1e-3", "--k", "1")
+        assert spelled == run(capsys, "verify", "--c", "1", "--d=-1e-3", "--k", "1")
+        assert spelled[0] == 0
+
     def test_fig1_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1")
         assert code == 0

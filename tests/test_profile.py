@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -149,6 +150,27 @@ class TestEvalG:
         with pytest.raises(InfeasibleArcLength):
             eval_g(p, 0.9, 0.0)
 
+    def test_infeasible_slope_raises_for_arrays(self):
+        p = make_quadratic_profile(2, 0, 1)  # feasible for |u| < sqrt(2)/2
+        with pytest.raises(InfeasibleArcLength):
+            eval_g(p, np.array([0.1, 0.9, 0.3]), 0.0)
+        with pytest.raises(InfeasibleArcLength):
+            eval_g(p, np.array([0.1, 0.3]), 0.9)
+
+    def test_path_along_the_feasibility_edge_is_flat(self):
+        p = make_quadratic_profile(2, 0, 1)
+        edge = math.sqrt(2.0) / 2.0  # f'^2 = 1 there; both ends lie within the 1e-12 slack beyond it
+        assert eval_g(p, edge * (1 + 1e-13), edge * (1 + 2e-13)) == 0.0
+        # across the whole window: -2 H int_0^{pi/2} cos^2 / sqrt(1 + sin^2), with u = H sin
+        assert eval_g(p, -edge, edge) == pytest.approx(-1.0068615925073928, abs=1e-15)
+
+    def test_fig1_matches_asinh(self, fig1):
+        # acceptance criterion 7's height, sqrt(1 - f'^2) = 1/sqrt(1 + u^2)
+        u = np.linspace(-5.0, 5.0, 401)
+        for u_ref in (0.0, 0.05, -1.3, 2.0):
+            expect = np.array([math.asinh(v) - math.asinh(u_ref) for v in u.tolist()])
+            assert np.all(np.abs(eval_g(fig1, u, u_ref) - expect) <= 1e-15 * np.maximum(1.0, np.abs(u)))
+
     @settings(max_examples=40, deadline=None)
     @given(profiles(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_additivity(self, p, fa, fb, fc):
@@ -157,6 +179,60 @@ class TestEvalG:
         direct = eval_g(p, u2, u0)
         via = eval_g(p, u2, u1) + eval_g(p, u1, u0)
         assert abs(direct - via) < 1e-9
+
+
+@st.composite
+def height_paths(draw):
+    """A profile with c in 10^[-2, 0.6], k in 10^[-12, 10] and d up to 0.99
+    of the discriminant edge, and two abscissae on either side of u*: within
+    10 L of it for c <= 1 (L = f(u*)/sqrt(c), the profile's length scale),
+    out to 1 - 1e-6 of the feasibility half-width for c > 1."""
+    c = 10.0 ** draw(st.floats(-2.0, 0.6))
+    k = 10.0 ** draw(st.floats(-12.0, 10.0))
+    p = make_quadratic_profile(c, draw(st.floats(-0.99, 0.99)) * 2.0 * math.sqrt(c * k), k)
+    length = math.sqrt(p.radius_sq_min / c)
+    reach = 10.0 * length if c <= 1.0 else (1.0 - 1e-6) * length / math.sqrt(c - 1.0)
+    u, u_ref = (p.singular_u + draw(st.floats(-1.0, 1.0)) * reach for _ in range(2))
+    if draw(st.booleans()):  # a short path far from u*, where G(x) - G(x_ref) would cancel
+        u = u_ref + draw(st.floats(-1e-6, 1e-6)) * reach
+    return p, u, u_ref
+
+
+def quad_height(p, u, u_ref):
+    """The height by adaptive quadrature of sqrt(1 - f'^2), independent of
+    the closed form.  With x = s - u* and m = f(u*)^2, f'^2 = (c x)^2/f^2
+    and 1 - f'^2 = ((1 - c) c x^2 + m)/(c x^2 + m); taken as 1 - f'^2 it
+    would cancel to nothing once |x| is 1e8 times f(u*)/sqrt(c)."""
+    from scipy.integrate import quad
+
+    c, m = p.c, p.radius_sq_min
+
+    def integrand(s):
+        x = s - p.singular_u
+        return math.sqrt(max(((1.0 - c) * c * x * x + m) / (c * x * x + m), 0.0))
+
+    # a path across u* is split there: quad's error estimate on the whole
+    # path can miss its sqrt-like rise towards a far feasibility edge
+    stops = [u_ref, p.singular_u, u] if (u_ref - p.singular_u) * (u - p.singular_u) < 0 else [u_ref, u]
+    return sum(quad(integrand, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0] for a, b in zip(stops, stops[1:]))
+
+
+class TestClosedFormHeight:
+    @settings(max_examples=300, deadline=None)
+    @given(height_paths())
+    def test_matches_quadrature(self, path):
+        p, u, u_ref = path
+        assert abs(eval_g(p, u, u_ref) - quad_height(p, u, u_ref)) <= 1e-12 * max(1.0, abs(u - u_ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(height_paths(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_array_call_equals_scalar_calls(self, path, fractions):
+        p, u, u_ref = path
+        us = np.array([u_ref + f * (u - u_ref) for f in fractions] + [u, u_ref])
+        heights = eval_g(p, us, u_ref)
+        assert heights.tolist() == [eval_g(p, v, u_ref) for v in us.tolist()]
+        assert eval_g(p, us.reshape(1, -1), u_ref).tolist() == [heights.tolist()]
+        assert isinstance(eval_g(p, u, u_ref), float)
 
 
 class TestCurvatureAndMetric:
@@ -199,6 +275,42 @@ class TestGeneralProfile:
         assert gp.evaluator(1.0) == pytest.approx(math.sqrt(2), abs=1e-6)
         assert (gp.domain.lo, gp.domain.hi) == (0.2, 2.0)
 
+    @pytest.mark.parametrize("f", [
+        [1.0, 2.0, 2.0, 2.0, 3.0, 1.0, 1.0],  # flat segments and a local maximum
+        [1.0, 2.0, 7.0, 8.0, 5.0, 6.0, 2.0],  # ends whose three-point slope flips sign: reset to 0
+        [1.0, 2.0, 0.5, 0.6, 0.7, 4.0, 1.0],  # ends next to a secant sign change: clipped to 3 m0
+    ])
+    def test_from_table_matches_scipy_pchip(self, f):
+        u = np.array([0.0, 1.0, 2.0, 2.5, 4.0, 5.0, 6.0])
+        self._assert_matches_scipy(u, np.array(f))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-3.0, 3.0),
+        st.lists(
+            st.tuples(st.floats(0.05, 2.0), st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.1, 3.0))),
+            min_size=4,
+            max_size=30,
+        ),
+    )
+    def test_from_table_matches_scipy_pchip_on_random_tables(self, u0, rows):
+        # values drawn from {1, 2} repeat, giving flat segments and extrema
+        u = u0 + np.cumsum([0.0] + [step for step, _ in rows[1:]])
+        self._assert_matches_scipy(u, np.array([value for _, value in rows]))
+
+    @staticmethod
+    def _assert_matches_scipy(u, f):
+        from scipy.interpolate import PchipInterpolator
+
+        evaluator = GeneralProfile.from_table(u, f).evaluator
+        oracle = PchipInterpolator(u, f)
+        pad = 0.1 * (u[-1] - u[0])
+        xs = np.concatenate([u, np.linspace(u[0] - pad, u[-1] + pad, 301)])
+        ours, expect = np.array([evaluator(x) for x in xs.tolist()]), oracle(xs)
+        # relative to the table's scale, or to the value where extrapolation exceeds it
+        assert np.all(np.abs(ours - expect) <= 1e-13 * np.maximum(np.max(np.abs(f)), np.abs(expect)))
+        assert evaluator(float(u[2])) == f[2]
+
     def test_from_table_rejects_unsorted(self):
         with pytest.raises(ValueError):
             GeneralProfile.from_table([0.0, 0.5, 0.4, 1.0], [1, 1, 1, 1])
@@ -209,7 +321,30 @@ class TestGeneralProfile:
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only by eval_g and GeneralProfile.from_table
     code = "import sys, revproj; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["export-mesh", "classify-csv", "classify-sphere"])
+def test_cli_runs_with_scipy_blocked(command, tmp_path):
+    # the runtime needs numpy only: scipy is a test dependency, for the oracles
+    table = tmp_path / "profile.csv"
+    table.write_text("u,f\n" + "".join("%r,%r\n" % (u, math.sqrt(u * u + 1.0)) for u in np.linspace(0.2, 2.0, 81).tolist()))
+    argv = {
+        "export-mesh": ["export-mesh", "--c", "1", "--d", "0", "--k", "1", "-o", str(tmp_path / "surface.obj")],
+        "classify-csv": ["classify", "--profile", "csv:%s" % table],
+        "classify-sphere": ["classify", "--profile", "sphere"],
+    }[command]
+    code = "import sys; sys.modules['scipy'] = None; from revproj.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=subprocess_env(), capture_output=True, text=True)
+    # the sphere admits no such map, and 1 is that verdict's exit code
+    assert (out.returncode, out.stderr) == (1 if command == "classify-sphere" else 0, "")
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["dependencies"] == ["numpy"]
+    assert "scipy" in project["optional-dependencies"]["test"]
