@@ -91,6 +91,11 @@ def _cmd_project(args):
 
 
 def _cmd_verify(args):
+    lo, hi = verifier.FD_STEP_RANGE
+    if not lo <= args.fd_step <= hi:
+        # 0, the library's analytic mode, would print analytic residuals in
+        # the [fd] rows
+        raise ValueError("--fd-step must be within [%g, %g], got %r" % (lo, hi, args.fd_step))
     p = make_quadratic_profile(args.c, args.d, args.k)
     params = _params_from_args(p, args)
     nt, nu = args.grid

@@ -95,6 +95,12 @@ class QuadraticProfile:
         """m = f(u*)^2 = -delta/(4c), so that f^2 = c (u - u*)^2 + m."""
         return -self.delta / (4.0 * self.c)
 
+    @property
+    def w0_modulus(self) -> float:
+        """|w0| = sqrt(k)/sqrt(c), the length of the complex offset w0 in
+        the map's affine form e^{-ib(t)} (u + w0)."""
+        return math.sqrt(self.k) / self.sqrt_c
+
 
 @dataclass(frozen=True)
 class GeneralProfile:

@@ -119,7 +119,7 @@ def _map_constants(p: QuadraticProfile, params: ProjectionParams):
     """(b', sigma, w0, e^{-i b(t_base)} w0), the constants of Phi shared by
     ``plane_map`` and ``invert``."""
     bp = b_slope(params, p)
-    amp = math.sqrt(p.k) / p.sqrt_c
+    amp = p.w0_modulus
     w0 = complex(amp * math.sin(params.theta0), -amp * math.cos(params.theta0))
     # b(t) = b' t + c0
     anchor = cmath.exp(-1j * (bp * params.t_base + params.c0)) * w0

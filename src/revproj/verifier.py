@@ -42,6 +42,9 @@ ANALYTIC_ISOMETRY_FLOOR = 1e-12
 # discriminant edge, 3 to 96 samples, random c0, t_base, t and branch) the
 # deviations reached 1.02 eps times the term scale.
 STRAIGHTNESS_UNIT_BOUND = 1e-12
+# central-difference steps check_local_isometry accepts; 0 selects the
+# analytic Jacobian instead
+FD_STEP_RANGE = (1e-8, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ def isometry_tolerance(
     eps sqrt(c) scale, kept above the 1e-12 floor.
     """
     h = fd_step
-    w0 = math.sqrt(p.k) / p.sqrt_c
-    scale = max(abs(u_span.lo - h), abs(u_span.hi + h)) + 2.0 * w0
+    scale = max(abs(u_span.lo - h), abs(u_span.hi + h)) + 2.0 * p.w0_modulus
     eps = np.finfo(float).eps
     if h == 0.0:
         return max(ANALYTIC_ISOMETRY_FLOOR, ANALYTIC_ISOMETRY_SAFETY * eps * max(1.0, p.sqrt_c * scale))
@@ -136,8 +138,8 @@ def check_local_isometry(
     fd_step = 0 switches to the analytic Jacobian.  Raises DomainExceeded
     when the u-stencil would leave the admissible interval.
     """
-    if fd_step != 0.0 and not 1e-8 <= fd_step <= 1e-3:
-        raise ValueError("fd_step must be 0 (analytic) or within [1e-8, 1e-3]")
+    if fd_step != 0.0 and not FD_STEP_RANGE[0] <= fd_step <= FD_STEP_RANGE[1]:
+        raise ValueError("fd_step must be 0 (analytic) or within [%g, %g]" % FD_STEP_RANGE)
     lo_st, hi_st = u_span.lo - fd_step, u_span.hi + fd_step
     if lo_st <= p.singular_u <= hi_st:
         raise DomainExceeded("stencil [%g, %g] touches the zero-slope abscissa u*=%g" % (lo_st, hi_st, p.singular_u))
@@ -189,8 +191,7 @@ def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = S
     are a few eps * scale.  max|Phi| alone would under-count where Phi is a
     small difference of two large terms.
     """
-    w0 = math.sqrt(p.k) / p.sqrt_c
-    return unit_bound * max(1.0, float(np.max(np.abs(u_samples))) + 2.0 * w0)
+    return unit_bound * max(1.0, float(np.max(np.abs(u_samples))) + 2.0 * p.w0_modulus)
 
 
 def check_meridian_straightness(p, params, t: float, u_samples) -> ResidualReport:
@@ -236,9 +237,12 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
 
     The right-hand side is a' times q(u) = -2 f'(u)/f(u), which depends on u
     alone, so q is tabulated once at every node and midpoint
-    u0 + (h/2) j, j = 0..2n; the recurrence itself stays a scalar,
-    sequential loop.  Only f, f' and the initial conditions at u0 enter it,
-    so it stays independent of the closed form it is compared against."""
+    u0 + (h/2) j, j = 0..2n.  a itself never enters a stage and a' enters
+    every stage linearly, so each RK4 step is a pair of amplification
+    factors, a'_{i+1} = m_i a'_i and a_{i+1} = a_i + n_i a'_i, and the whole
+    grid is one cumulative product and one cumulative sum.  Only f, f' and
+    the initial conditions at u0 enter it, so it stays independent of the
+    closed form it is compared against."""
     if step <= 0 or step > 1e-2:
         raise ValueError("step must be positive and at most 1e-2")
 
@@ -249,25 +253,19 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
     h = (u1 - u0) / n_steps
     u = u0 + 0.5 * h * np.arange(2 * n_steps + 1)  # nodes at even j
     f, fp, _ = profile_jet(p, u)
-    q = (-2.0 * fp / f).tolist()
-    a_numeric = [a]
-    for i in range(n_steps):
-        q0, q_mid, q1 = q[2 * i], q[2 * i + 1], q[2 * i + 2]
-        # stage slopes of a are the a' stages; those of a' are q times them
-        k1a = ap
-        k1p = q0 * k1a
-        k2a = ap + 0.5 * h * k1p
-        k2p = q_mid * k2a
-        k3a = ap + 0.5 * h * k2p
-        k3p = q_mid * k3a
-        k4a = ap + h * k3p
-        k4p = q1 * k4a
-        a += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
-        ap += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        a_numeric.append(a)
+    q = -2.0 * fp / f
+    q0, q_mid, q1 = q[:-1:2], q[1::2], q[2::2]
+    # the stage values of a' over a'_i; the stage slopes of a' are q times them
+    s2 = 1.0 + 0.5 * h * q0
+    s3 = 1.0 + 0.5 * h * q_mid * s2
+    s4 = 1.0 + h * q_mid * s3
+    m = 1.0 + h * (q0 + 2.0 * q_mid * s2 + 2.0 * q_mid * s3 + q1 * s4) / 6.0
+    n = h * (1.0 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
+    ap_steps = ap * np.cumprod(np.concatenate(([1.0], m[:-1])))  # a' at nodes 0..n-1
+    a_numeric = np.concatenate(([a], a + np.cumsum(ap_steps * n)))
     nodes = u[::2]
     a_exact, _ = meridian_turning(p, nodes)
-    errors = np.abs(np.array(a_numeric) - a_exact)
+    errors = np.abs(a_numeric - a_exact)
     return _summarize("a(u): RK4 vs closed form", errors, lambda i: float(nodes[i]))
 
 
@@ -318,6 +316,9 @@ def existence_classifier(
     """
     if n_samples < 10:
         raise ValueError("classifier needs n_samples >= 10")
+    # no residual falls below a threshold <= 0, and every one passes NaN
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError("classifier threshold must be positive and finite, got %r" % threshold)
     lo, hi = gp.domain.lo, gp.domain.hi
     h = fd_step
     if hi - lo <= 6.0 * h:

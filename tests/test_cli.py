@@ -125,6 +125,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("fd_step", ["0", "1e-9", "2e-3"])
+    def test_fd_step_outside_range_is_usage_error(self, capsys, fd_step):
+        # 0 would print the analytic residuals in the [fd] rows
+        code, out, err = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1", "--fd-step", fd_step)
+        assert code == 2
+        assert out == ""
+        assert "--fd-step" in err
+
 
 class TestClassifyCommand:
     def test_sphere_contract_example(self, capsys):
@@ -187,6 +195,15 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--profile", "sphere", "--threshold", "10")
         assert code == 1
         assert "exists: false" in out
+
+    @pytest.mark.parametrize("threshold", ["-1e-4", "0", "nan"])
+    def test_threshold_that_cannot_decide_is_usage_error(self, capsys, threshold):
+        # <= 0 rejects even an admissible quadratic; NaN would accept the sphere
+        for profile in ("quadratic:1,0,1", "sphere"):
+            code, out, err = run(capsys, "classify", "--profile", profile, "--threshold", threshold)
+            assert code == 2
+            assert out == ""
+            assert "threshold" in err
 
 
 class TestExportCommands:
