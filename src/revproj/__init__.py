@@ -14,7 +14,6 @@ from .errors import (
     DomainExceeded,
     EmptyDomain,
     InfeasibleArcLength,
-    InsufficientDomain,
     IoFailure,
     NoPreimage,
     RejectedProfile,

@@ -152,38 +152,30 @@ def _load_csv_profile(path):
                 rows.append((float(r[0]), float(r[1])))
     except OSError as exc:
         raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
-    u_values = [r[0] for r in rows]
-    f_values = [r[1] for r in rows]
-    gp = GeneralProfile.from_table(u_values, f_values)
-    spacing = max(b - a for a, b in zip(u_values, u_values[1:]))
-    # the monotone-cubic interpolant is only C^1, so differencing must
-    # stride well past the knot spacing
-    fd_step = max(1e-3, 4.0 * spacing)
-    return gp, fd_step
+    return GeneralProfile.from_table([r[0] for r in rows], [r[1] for r in rows])
 
 
 def _resolve_profile_arg(text):
-    """Returns (GeneralProfile, fd_step) for a --profile argument."""
+    """The GeneralProfile a --profile argument names."""
     if text in verifier.BUILTIN_PROFILES:
-        return verifier.BUILTIN_PROFILES[text](), 1e-3
+        return verifier.BUILTIN_PROFILES[text]()
     if text.startswith("quadratic:"):
         try:
             c, d, k = (float(v) for v in text[len("quadratic:"):].split(","))
         except ValueError:
             raise ValueError("--profile quadratic:c,d,k expects three numbers")
         p = make_quadratic_profile(c, d, k)
-        span = reference_interval(p)
-        return GeneralProfile(evaluator=lambda u: profile_jet(p, u)[0], domain=span), 1e-3
+        return GeneralProfile(evaluator=lambda u: profile_jet(p, u)[0], domain=reference_interval(p))
     if text.startswith("csv:"):
         return _load_csv_profile(text[len("csv:"):])
     raise ValueError("--profile must be sphere, pseudosphere, quadratic:c,d,k or csv:PATH")
 
 
 def _cmd_classify(args):
-    gp, fd_step = _resolve_profile_arg(args.profile)
-    verdict = verifier.existence_classifier(gp, fd_step=fd_step, threshold=args.threshold)
+    verdict = verifier.existence_classifier(_resolve_profile_arg(args.profile), threshold=args.threshold)
     print("exists: %s" % ("true" if verdict.exists else "false"))
-    print("residual_sup: %.6g" % verdict.residual_sup)
+    print("gate: %s" % verdict.gate)
+    print("misfit: %.6g" % verdict.misfit)
     if verdict.fitted is not None:
         print("fitted: c=%.9g d=%.9g k=%.9g" % verdict.fitted)
     print("curvature_range: [%.6g, %.6g]" % verdict.curvature_range)
@@ -262,7 +254,7 @@ def _build_parser():
         required=True,
         help="sphere | pseudosphere | quadratic:c,d,k | csv:PATH (header u,f)",
     )
-    sp.add_argument("--threshold", type=float, default=1e-4)
+    sp.add_argument("--threshold", type=float, default=1e-4, help="bound on the misfit max|f^2 - fit|/|c_x|")
     sp.set_defaults(handler=_cmd_classify)
 
     sp = sub.add_parser("export-graticule", help="write the projected graticule as SVG")

@@ -50,10 +50,6 @@ class DegenerateLine(RevprojError):
     """A straightness check received coincident endpoints."""
 
 
-class InsufficientDomain(RevprojError):
-    """The classifier stencil does not fit inside the profile domain."""
-
-
 class CollinearityViolation(RevprojError):
     """Sampled meridian image points failed the straight-line guard before
     emission; indicates an internal bug, not bad input."""

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class DomainInterval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, u: float) -> bool:
-        return self.lo <= u <= self.hi
 
 
 @dataclass(frozen=True)
@@ -107,24 +104,29 @@ class GeneralProfile:
     """An arbitrary radius function u -> f(u) > 0 on a bounded domain.
 
     ``evaluator`` may be any scalar callable; use :meth:`from_table` for
-    tabulated data (monotone cubic interpolation, so two numerical
-    derivatives stay free of spurious oscillation).
+    tabulated data, which keeps the rows as ``table`` (u, f) and evaluates
+    between them by monotone cubic interpolation, so numerical derivatives
+    stay free of spurious oscillation.
     """
 
     evaluator: Callable[[float], float]
     domain: DomainInterval
+    table: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_table(cls, u_values, f_values) -> "GeneralProfile":
-        u = np.asarray(u_values, dtype=float)
-        f = np.asarray(f_values, dtype=float)
+        # copies, so the kept rows cannot change under the caller
+        u = np.array(u_values, dtype=float)
+        f = np.array(f_values, dtype=float)
         if u.ndim != 1 or u.shape != f.shape or u.size < 4:
             raise ValueError("table needs matching 1-D u and f arrays with >= 4 rows")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(f))):
+            raise ValueError("table u- and f-values must be finite")
         if not np.all(np.diff(u) > 0):
             raise ValueError("table u-values must be strictly increasing")
         if not np.all(f > 0):
             raise ValueError("table f-values must be positive")
-        return cls(evaluator=_pchip(u, f), domain=DomainInterval(float(u[0]), float(u[-1])))
+        return cls(evaluator=_pchip(u, f), domain=DomainInterval(float(u[0]), float(u[-1])), table=(u, f))
 
 
 def _pchip_end_slope(h0, h1, m0, m1):

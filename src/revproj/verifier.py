@@ -7,8 +7,8 @@ Three kinds of checks live here:
 * an independent fixed-step RK4 oracle for the turning-angle ODE
   a'' = -2 (f'/f) a', compared against the closed form,
 * the existence classifier for an arbitrary profile: a length-preserving,
-  meridian-straightening map exists iff (f f')'' vanishes identically,
-  i.e. iff f^2 is a quadratic in u with the right coefficient signs.
+  meridian-straightening map exists iff f^2 is a quadratic in u with the
+  right coefficient signs, decided by one least-squares fit of f^2.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateLine, DomainExceeded, InsufficientDomain
+from .errors import DegenerateLine, DomainExceeded
 from .profile import (
     DomainInterval,
     GeneralProfile,
@@ -45,6 +45,14 @@ STRAIGHTNESS_UNIT_BOUND = 1e-12
 # central-difference steps check_local_isometry accepts; 0 selects the
 # analytic Jacobian instead
 FD_STEP_RANGE = (1e-8, 1e-3)
+# The classifier's bound on max|f^2 - fit| for an exact quadratic, in units
+# of eps max f^2.  A sample of f good to about an ulp gives f^2 to ~2.5 eps;
+# the least-squares residual maps that error through I - P (P the projector
+# onto quadratics), whose max-row-sum norm is at most 3.2 for 4 to 1,200
+# equispaced rows, and the solve and the evaluation of the fit add a few eps
+# more: ~10 eps in all.  Over 20,000 exact quadratics (4 to 1,200 rows,
+# c_x/k_x from 1e-12 to 1e4) the misfit reached 20 eps max f^2.
+CLASSIFIER_ROUNDING_FLOOR = 64.0
 
 
 @dataclass(frozen=True)
@@ -62,17 +70,24 @@ class ResidualReport:
 class ExistenceVerdict:
     """Outcome of the existence classifier.
 
-    ``residual_sup`` is the scale-normalized sup of |(f f')''| over the
-    sampled domain, attained at ``worst_u``; ``fitted`` holds the
-    least-squares (c, d, k) when the residual passed the threshold, whether
-    or not the coefficients turned out admissible.
+    ``gate`` names the check that decided: ``residual``, ``coefficients``
+    or ``u_star_inside`` for the first one that rejected, ``admissible``
+    when the map exists.  ``misfit`` is max|f^2 - fit|/|c_x|, the
+    dimensionless distance of f^2 from its quadratic fit, which the
+    residual gate bounds by the threshold.  ``fitted`` holds the
+    least-squares (c, d, k) when the misfit passed, whether or not the
+    coefficients turned out admissible.  ``residual_sup`` =
+    sup|(f f')''| over the samples, attained at ``worst_u``, is a
+    diagnostic in the profile's units and decides nothing.
     """
 
     exists: bool
-    residual_sup: float
+    gate: str
+    misfit: float
     fitted: Optional[Tuple[float, float, float]]
     curvature_range: Tuple[float, float]
-    worst_u: float = math.nan
+    residual_sup: float
+    worst_u: float
 
 
 def _summarize(name, residuals, point_at):
@@ -286,100 +301,85 @@ BUILTIN_PROFILES = {
 }
 
 
-def _fd_second(fn, u, h):
-    """Fourth-order five-point stencil for f''; accurate to ~1e-10 for
-    well-scaled smooth profiles, which plain O(h^2) differences cannot reach."""
-    return (
-        -fn(u + 2 * h) + 16.0 * fn(u + h) - 30.0 * fn(u) + 16.0 * fn(u - h) - fn(u - 2 * h)
-    ) / (12.0 * h * h)
-
-
-def _fd_curvature(gp: GeneralProfile, u: float, h: float = 5e-3) -> float:
-    return -_fd_second(gp.evaluator, u, h) / gp.evaluator(u)
-
-
-def existence_classifier(
-    gp: GeneralProfile,
-    n_samples: int = 200,
-    fd_step: float = 1e-3,
-    threshold: float = 1e-4,
-) -> ExistenceVerdict:
+def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: float = 1e-4) -> ExistenceVerdict:
     """Decide whether a length-preserving, meridian-straightening plane map
-    can exist for the profile.
+    can exist for the profile: iff f^2 is a quadratic in u with c > 0, a
+    negative discriminant and u* = -d/(2c) off the domain.
 
-    Estimates (f f')'' by a second central difference of s(u) = f(u) f'(u)
-    (f' itself a central difference) at interior samples, normalizes the sup
-    by max(1, sup f^2), and accepts only when it stays below ``threshold``.
-    On acceptance, f^2 is least-squares fitted by c u^2 + d u + k and the
-    admissibility constraints (c > 0, k > 0, d^2 - 4ck < 0, f' nonzero on
-    the domain) are re-validated.
+    f^2, at the rows of a table profile or else at n_samples equispaced
+    points, is least-squares fitted by c_x x^2 + d_x x + k_x in
+    x = (u - lo)/W, W the domain width.  The first gate that rejects is the
+    verdict's ``gate``:
+
+    * ``residual``: max|f^2 - fit| < threshold |c_x| + the rounding floor
+      CLASSIFIER_ROUNDING_FLOOR eps max f^2, so the threshold bounds the
+      misfit max|f^2 - fit|/|c_x|;
+    * ``coefficients``: c_x > 1e-9 max f^2 (c > 1e-9 max f^2/W^2) and
+      d_x^2 < 4 c_x k_x (1 - 1e-9), margins that keep a cylinder (c at
+      rounding level) and a cone (zero discriminant) out on noise;
+    * ``u_star_inside``: u* must lie off [lo, hi].
+
+    Under u -> lambda u, f -> lambda f, x stays and f^2, c_x, d_x and k_x
+    all scale by lambda^2, so no gate moves.
     """
     if n_samples < 10:
         raise ValueError("classifier needs n_samples >= 10")
-    # no residual falls below a threshold <= 0, and every one passes NaN
+    # no misfit falls below a threshold <= 0, and every one passes NaN
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError("classifier threshold must be positive and finite, got %r" % threshold)
-    lo, hi = gp.domain.lo, gp.domain.hi
-    h = fd_step
-    if hi - lo <= 6.0 * h:
-        raise InsufficientDomain(
-            "domain width %g cannot host the +-3h stencil with fd_step %g" % (hi - lo, h)
-        )
-    us = np.linspace(lo, hi, n_samples)
-    f_vals = np.array([gp.evaluator(u) for u in us])
+    lo, width = gp.domain.lo, gp.domain.width
+    if gp.table is None:
+        us = np.linspace(lo, gp.domain.hi, n_samples)
+        f_vals = np.array([gp.evaluator(u) for u in us])
+    else:
+        us, f_vals = gp.table
     if not np.all(f_vals > 0):
         raise ValueError("profile must be positive on its domain")
+    f_sq = f_vals * f_vals
 
-    def s(v):
-        # inner derivative at fourth order: the O(h^2) three-point form
-        # leaves an h^2 f''' term whose second difference can cross the
-        # threshold on small-radius profiles
-        fe = gp.evaluator
-        fp = (-fe(v + 2 * h) + 8.0 * fe(v + h) - 8.0 * fe(v - h) + fe(v - 2 * h)) / (12.0 * h)
-        return fe(v) * fp
-
-    interior = [u for u in us if u - 3.0 * h >= lo and u + 3.0 * h <= hi]
-    if not interior:
-        raise InsufficientDomain("no sample admits the +-3h stencil")
-    bend = [abs((s(u + h) - 2.0 * s(u) + s(u - h)) / (h * h)) for u in interior]
-    scale = max(1.0, float(np.max(f_vals) ** 2))
+    # diagnostics only: (f f')'' = (f^2)'''/2 = 3 f^2[u_i, ..., u_{i+3}],
+    # the third divided difference, on any row spacing
+    bend = f_sq
+    for order in (1, 2, 3):
+        bend = np.diff(bend) / (us[order:] - us[:-order])
+    bend = 3.0 * np.abs(bend)
     worst = int(np.argmax(bend))
-    residual_sup = bend[worst] / scale
+    diagnostics = {"residual_sup": float(bend[worst]), "worst_u": float(0.5 * (us[worst] + us[worst + 3]))}
+    curvature_range = curvature_report(gp, gp.domain, 101)[:2]
 
-    h_k = min(5e-3, (hi - lo) / 8.0)
-    k_samples = np.linspace(lo + 2.0 * h_k, hi - 2.0 * h_k, min(len(interior), 101))
-    curvatures = [_fd_curvature(gp, u, h_k) for u in k_samples]
-    curvature_range = (float(min(curvatures)), float(max(curvatures)))
+    x = (us - lo) / width
+    fit = np.polyfit(x, f_sq, 2)
+    c_x, d_x, k_x = (float(v) for v in fit)
+    gap = float(np.max(np.abs(f_sq - np.polyval(fit, x))))
+    misfit = gap / abs(c_x) if c_x else math.inf
+    scale = float(np.max(f_sq))
+    if gap >= threshold * abs(c_x) + CLASSIFIER_ROUNDING_FLOOR * np.finfo(float).eps * scale:
+        return ExistenceVerdict(False, "residual", misfit, None, curvature_range, **diagnostics)
 
-    if residual_sup >= threshold:
-        return ExistenceVerdict(False, residual_sup, None, curvature_range, worst_u=float(interior[worst]))
-
-    c_fit, d_fit, k_fit = (float(v) for v in np.polyfit(us, f_vals**2, 2))
-    # strict inequalities need scale-aware margins: a cylinder fits c at
-    # rounding-noise level and a cone fits the discriminant at exactly zero,
-    # and neither may slip through on the noise sign
-    c_floor = 1e-9 * scale / ((hi - lo) ** 2)
-    admissible = c_fit > c_floor and k_fit > 0
-    if admissible:
-        admissible = d_fit * d_fit < 4.0 * c_fit * k_fit * (1.0 - 1e-9)
-    if admissible:
-        u_star = -d_fit / (2.0 * c_fit)
-        admissible = not (lo <= u_star <= hi)
-    return ExistenceVerdict(
-        admissible, residual_sup, (c_fit, d_fit, k_fit), curvature_range, worst_u=float(interior[worst])
-    )
+    t = -lo / width  # x at u = 0
+    fitted = (c_x / width**2, (2.0 * c_x * t + d_x) / width, (c_x * t + d_x) * t + k_x)
+    if not (c_x > 1e-9 * scale and d_x * d_x < 4.0 * c_x * k_x * (1.0 - 1e-9)):
+        gate = "coefficients"
+    elif 0.0 <= -d_x / (2.0 * c_x) <= 1.0:
+        gate = "u_star_inside"
+    else:
+        gate = "admissible"
+    return ExistenceVerdict(gate == "admissible", gate, misfit, fitted, curvature_range, **diagnostics)
 
 
 def curvature_report(p_or_gp, interval: DomainInterval, n: int = 100):
     """(K_min, K_max, all_negative) sampled at n points.  Closed form for a
-    QuadraticProfile; five-point finite differences for a GeneralProfile
-    (samples inset by the stencil width)."""
+    QuadraticProfile.  For a GeneralProfile, K = -f''/f with f'' from the
+    fourth-order five-point stencil (O(h^2) differences cannot reach ~1e-10)
+    at step W/200, W the interval width, so that K W^2 does not move under
+    u -> lambda u, f -> lambda f; samples are inset by the stencil width."""
     if isinstance(p_or_gp, QuadraticProfile):
         us = np.linspace(interval.lo, interval.hi, n)
         ks = gaussian_curvature(p_or_gp, us)
     else:
-        h = min(5e-3, interval.width / 8.0)
+        h = interval.width / 200.0
         us = np.linspace(interval.lo + 2 * h, interval.hi - 2 * h, n)
-        ks = [_fd_curvature(p_or_gp, u, h) for u in us]
+        f = np.array([[p_or_gp.evaluator(u + j * h) for u in us] for j in (2, 1, 0, -1, -2)])
+        ks = -((-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)) / f[2]
     k_min, k_max = float(np.min(ks)), float(np.max(ks))
     return k_min, k_max, k_max < 0.0

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ def run(capsys, *argv):
     code = cli_dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_profile(tmp_path, fn, lo, hi, rows):
+    """A CSV profile of fn at rows equispaced u on [lo, hi], written losslessly."""
+    u = np.linspace(lo, hi, rows)
+    path = tmp_path / "profile.csv"
+    path.write_text("u,f\n" + "".join("%r,%r\n" % (float(a), float(b)) for a, b in zip(u, fn(u))))
+    return path
 
 
 class TestProjectCommand:
@@ -151,6 +160,11 @@ class TestClassifyCommand:
         assert "exists: true" in out
         assert "fitted:" in out
 
+    def test_output_lines(self, capsys):
+        _, out, _ = run(capsys, "classify", "--profile", "sphere")
+        assert [line.split(":")[0] for line in out.splitlines()] == ["exists", "gate", "misfit", "curvature_range"]
+        assert out.startswith("exists: false\ngate: residual\n")
+
     def test_csv_profile(self, capsys, tmp_path):
         path = tmp_path / "profile.csv"
         u = np.linspace(0.2, 2.0, 1200)
@@ -159,6 +173,39 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--profile", "csv:%s" % path)
         assert code == 0
         assert "exists: true" in out
+
+    @pytest.mark.parametrize("hi, rows", [(4.0, 20), (2.0, 30)])
+    def test_short_csv_of_admissible_profile(self, capsys, tmp_path, hi, rows):
+        # the fit runs on the rows themselves, so a short table decides too
+        path = write_profile(tmp_path, lambda u: np.sqrt(u * u + 1.0), 0.2, hi, rows)
+        code, out, err = run(capsys, "classify", "--profile", "csv:%s" % path)
+        assert (code, err) == (0, "")
+        assert out.startswith("exists: true\ngate: admissible\nmisfit: ")
+
+    def test_csv_of_large_pseudosphere(self, capsys, tmp_path):
+        # f = 50 e^{u/50} is the unit pseudosphere scaled by 50
+        path = write_profile(tmp_path, lambda u: 50.0 * np.exp(u / 50.0), -50.0, -25.0, 201)
+        code, out, _ = run(capsys, "classify", "--profile", "csv:%s" % path)
+        assert code == 1
+        assert out.startswith("exists: false\ngate: residual\n")
+        assert "fitted:" not in out
+
+    def test_small_quadratic_profile(self, capsys):
+        # a chart ~1e-6 wide: no absolute step has to fit inside it
+        code, out, _ = run(capsys, "classify", "--profile", "quadratic:1000,0,1e-6")
+        assert code == 0
+        assert "exists: true" in out
+
+    def test_csv_nonfinite_radius_rejected(self, capsys, tmp_path):
+        path = write_profile(tmp_path, lambda u: np.sqrt(u * u + 1.0), 0.2, 2.0, 60)
+        lines = path.read_text().splitlines()
+        lines[30] = lines[30].split(",")[0] + ",inf"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "classify", "--profile", "csv:%s" % path)
+        assert (code, out) == (2, "")
+        assert "finite" in err
 
     def test_csv_bad_header(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

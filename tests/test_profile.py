@@ -319,6 +319,20 @@ class TestGeneralProfile:
         with pytest.raises(ValueError):
             GeneralProfile.from_table([0.0, 0.5, 1.0, 1.5], [1.0, -1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("u, f", [
+        ([0.0, 0.5, 1.0, 1.5], [1.0, math.inf, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0, 1.5], [1.0, math.nan, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0, math.inf], [1.0, 1.0, 1.0, 1.0]),
+    ])
+    def test_from_table_rejects_nonfinite(self, u, f):
+        with pytest.raises(ValueError, match="finite"):
+            GeneralProfile.from_table(u, f)
+
+    def test_from_table_keeps_rows(self):
+        u = np.linspace(0.2, 2.0, 5)
+        gp = GeneralProfile.from_table(u, np.sqrt(u * u + 1))
+        assert np.array_equal(gp.table[0], u) and np.array_equal(gp.table[1], np.sqrt(u * u + 1))
+
 
 def test_import_loads_no_scipy():
     code = "import sys, revproj; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

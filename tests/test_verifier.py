@@ -10,7 +10,6 @@ from revproj import (
     DomainExceeded,
     DomainInterval,
     GeneralProfile,
-    InsufficientDomain,
     check_local_isometry,
     check_meridian_straightness,
     check_structural_identities,
@@ -208,6 +207,29 @@ def _rk4_per_call_reference(p, u0, u1, step):
     return max(errors), sum(errors) / len(errors), len(errors)
 
 
+def _quadratic_radius(c, d, k):
+    p = make_quadratic_profile(c, d, k)
+    return lambda u: profile_jet(p, u)[0]
+
+
+# ((f at lambda = 1, lo, hi), gate): the lambda-image of f on [lo, hi] is
+# lambda f(u/lambda) on [lambda lo, lambda hi]; for f^2 = c u^2 + d u + k
+# that is the profile (c, lambda d, lambda^2 k)
+HOMOTHETY_CASES = [
+    ((math.cos, 0.2, 1.2), "residual"),
+    ((math.exp, -2.0, -0.5), "residual"),
+    ((math.exp, -1.0, -0.5), "residual"),
+    ((math.exp, -3.0, -1.0), "residual"),
+    ((math.exp, -0.5, -0.1), "residual"),
+    ((_quadratic_radius(1.0, 0.0, 1.0), 0.2, 2.0), "admissible"),
+    ((_quadratic_radius(0.3, -0.5, 2.0), -4.0, 0.5), "admissible"),
+    ((_quadratic_radius(3.0, 1.0, 2.0), -0.1, 0.3), "admissible"),
+    ((_quadratic_radius(1.0, -2.0, 2.0), 0.0, 2.0), "u_star_inside"),
+    ((lambda u: 2.0 + 0.5 * u, 0.0, 1.0), "coefficients"),
+    ((lambda u: 1.5, 0.0, 1.0), "coefficients"),
+]
+
+
 class TestExistenceClassifier:
     def test_sphere_profile_rejected(self):
         verdict = existence_classifier(sphere_profile())
@@ -237,12 +259,14 @@ class TestExistenceClassifier:
         gp = GeneralProfile(lambda u: 2.0 + 0.5 * u, DomainInterval(0.0, 1.0))
         verdict = existence_classifier(gp)
         assert not verdict.exists
+        assert verdict.gate == "coefficients"
         assert verdict.fitted is not None
 
     def test_cylinder_rejected_by_vanishing_c(self):
         gp = GeneralProfile(lambda u: 1.5, DomainInterval(0.0, 1.0))
         verdict = existence_classifier(gp)
         assert not verdict.exists
+        assert verdict.gate == "coefficients"
 
     def test_interior_zero_slope_rejected(self):
         # f^2 = (u-1)^2 + 1 is admissible as a quadratic but its slope
@@ -250,7 +274,16 @@ class TestExistenceClassifier:
         gp = GeneralProfile(lambda u: math.sqrt((u - 1.0) ** 2 + 1.0), DomainInterval(0.0, 2.0))
         verdict = existence_classifier(gp)
         assert not verdict.exists
+        assert verdict.gate == "u_star_inside"
         assert verdict.fitted == pytest.approx((1.0, -2.0, 2.0), abs=1e-6)
+
+    def test_threshold_bounds_the_misfit(self):
+        # the sphere's misfit sits far above the rounding floor, so the
+        # threshold alone moves the residual gate across it
+        misfit = existence_classifier(sphere_profile()).misfit
+        assert existence_classifier(sphere_profile(), threshold=0.99 * misfit).gate == "residual"
+        # past the residual gate, c < 0 rejects
+        assert existence_classifier(sphere_profile(), threshold=1.01 * misfit).gate == "coefficients"
 
     def test_round_trip_recovers_coefficients(self):
         for p in random_profiles(23, 20):
@@ -273,16 +306,19 @@ class TestExistenceClassifier:
     def test_tabulated_input(self):
         u = np.linspace(0.2, 2.0, 1500)
         gp = GeneralProfile.from_table(u, np.sqrt(u * u + 1.0))
-        # the monotone-cubic interpolant is C^1 only, so the difference
-        # stride must dominate the knot spacing
-        verdict = existence_classifier(gp, fd_step=2e-2)
+        verdict = existence_classifier(gp)
         assert verdict.exists
         assert verdict.fitted == pytest.approx((1.0, 0.0, 1.0), abs=1e-4)
 
-    def test_domain_too_small(self):
-        gp = GeneralProfile(math.cos, DomainInterval(0.0, 5e-3))
-        with pytest.raises(InsufficientDomain):
-            existence_classifier(gp, fd_step=1e-3)
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-2.0, 3.0))
+    def test_verdict_invariant_under_homothety(self, log_lam):
+        # u -> lam u, f -> lam f rescales the surface; (exists, gate) must not move
+        lam = 10.0**log_lam
+        for (f1, lo, hi), gate in HOMOTHETY_CASES:
+            gp = GeneralProfile(lambda u, f1=f1: lam * f1(u / lam), DomainInterval(lam * lo, lam * hi))
+            verdict = existence_classifier(gp)
+            assert (verdict.exists, verdict.gate) == (gate == "admissible", gate), (f1, lo, hi, lam)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
@@ -301,6 +337,14 @@ class TestCurvatureReport:
         assert k_min == pytest.approx(1.0, abs=1e-9)
         assert k_max == pytest.approx(1.0, abs=1e-9)
         assert not all_negative
+
+    @pytest.mark.parametrize("lam", [1e-2, 0.3, 1.0, 50.0, 1e3])
+    def test_scaled_sphere_curvature(self, lam):
+        # f = lam cos(u/lam) is the sphere of radius lam: K lam^2 = 1 at every scale
+        gp = GeneralProfile(lambda u: lam * math.cos(u / lam), DomainInterval(0.2 * lam, 1.2 * lam))
+        k_min, k_max, _ = curvature_report(gp, gp.domain, 100)
+        assert abs(k_min * lam * lam - 1.0) < 1e-8
+        assert abs(k_max * lam * lam - 1.0) < 1e-8
 
     def test_always_negative_for_admissible_profiles(self):
         p = make_quadratic_profile(1, 1, 1)
