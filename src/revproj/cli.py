@@ -43,14 +43,25 @@ VERIFY_TOLERANCES = {
 }
 
 
+def _finite_float(text):
+    """The type of every float flag: a number, but not nan or +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number, got %r" % text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
+
+
 def _add_profile_flags(sub):
-    sub.add_argument("--c", type=float, required=True, help="coefficient c of f^2 = c u^2 + d u + k")
-    sub.add_argument("--d", type=float, required=True, help="coefficient d")
-    sub.add_argument("--k", type=float, required=True, help="coefficient k")
+    sub.add_argument("--c", type=_finite_float, required=True, help="coefficient c of f^2 = c u^2 + d u + k")
+    sub.add_argument("--d", type=_finite_float, required=True, help="coefficient d")
+    sub.add_argument("--k", type=_finite_float, required=True, help="coefficient k")
 
 
 def _add_params_flags(sub):
-    sub.add_argument("--c0", type=float, default=0.0, help="integration constant of b(t)")
+    sub.add_argument("--c0", type=_finite_float, default=0.0, help="integration constant of b(t)")
     sub.add_argument(
         "--theta0-branch",
         choices=("principal", "mirror"),
@@ -213,11 +224,9 @@ def _cmd_table(args):
     params = _params_from_args(p, args)
     u_range = admissible_interval(p, DomainInterval(args.u0, args.u1))
     nt, nu = args.grid
-    grid = [
-        (t, u)
-        for t in np.linspace(args.t0, args.t1, nt)
-        for u in np.linspace(u_range.lo, u_range.hi, nu)
-    ]
+    t_values = np.linspace(args.t0, args.t1, nt)
+    u_values = np.linspace(u_range.lo, u_range.hi, nu)
+    grid = np.stack(np.meshgrid(t_values, u_values, indexing="ij"), axis=-1).reshape(-1, 2)
     summary = sample_table_csv(p, params, grid, args.output)
     print("wrote %s: %d rows" % (summary["path"], summary["rows"]))
     return 0
@@ -236,15 +245,15 @@ def _build_parser():
     sp = sub.add_parser("project", help="map one surface point to the plane")
     _add_profile_flags(sp)
     _add_params_flags(sp)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--u", type=float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
+    sp.add_argument("--u", type=_finite_float, required=True)
     sp.set_defaults(handler=_cmd_project)
 
     sp = sub.add_parser("verify", help="run all residual checks, exit 0 iff every one passes")
     _add_profile_flags(sp)
     _add_params_flags(sp)
     sp.add_argument("--grid", type=_parse_grid, default=(50, 50), help="NTxNU sample grid")
-    sp.add_argument("--fd-step", type=float, default=1e-5)
+    sp.add_argument("--fd-step", type=_finite_float, default=1e-5)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(handler=_cmd_verify)
 
@@ -254,16 +263,16 @@ def _build_parser():
         required=True,
         help="sphere | pseudosphere | quadratic:c,d,k | csv:PATH (header u,f)",
     )
-    sp.add_argument("--threshold", type=float, default=1e-4, help="bound on the misfit max|f^2 - fit|/|c_x|")
+    sp.add_argument("--threshold", type=_finite_float, default=1e-4, help="bound on the misfit max|f^2 - fit|/|c_x|")
     sp.set_defaults(handler=_cmd_classify)
 
     sp = sub.add_parser("export-graticule", help="write the projected graticule as SVG")
     _add_profile_flags(sp)
     _add_params_flags(sp)
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--t1", type=float, default=math.pi)
-    sp.add_argument("--u0", type=float, default=0.2)
-    sp.add_argument("--u1", type=float, default=2.0)
+    sp.add_argument("--t0", type=_finite_float, default=0.0)
+    sp.add_argument("--t1", type=_finite_float, default=math.pi)
+    sp.add_argument("--u0", type=_finite_float, default=0.2)
+    sp.add_argument("--u1", type=_finite_float, default=2.0)
     sp.add_argument("--meridians", type=int, default=9)
     sp.add_argument("--parallels", type=int, default=5)
     sp.add_argument("--samples", type=int, default=64)
@@ -274,9 +283,9 @@ def _build_parser():
     _add_profile_flags(sp)
     sp.add_argument("--t-div", type=int, default=64)
     sp.add_argument("--u-div", type=int, default=32)
-    sp.add_argument("--u0", type=float, default=0.05)
-    sp.add_argument("--u1", type=float, default=2.0)
-    sp.add_argument("--u-ref", type=float, default=None, help="height anchor; defaults to u0")
+    sp.add_argument("--u0", type=_finite_float, default=0.05)
+    sp.add_argument("--u1", type=_finite_float, default=2.0)
+    sp.add_argument("--u-ref", type=_finite_float, default=None, help="height anchor; defaults to u0")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_export_mesh)
 
@@ -284,10 +293,10 @@ def _build_parser():
     _add_profile_flags(sp)
     _add_params_flags(sp)
     sp.add_argument("--grid", type=_parse_grid, default=(5, 5), help="NTxNU sample grid")
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--t1", type=float, default=math.pi)
-    sp.add_argument("--u0", type=float, default=0.2)
-    sp.add_argument("--u1", type=float, default=2.0)
+    sp.add_argument("--t0", type=_finite_float, default=0.0)
+    sp.add_argument("--t1", type=_finite_float, default=math.pi)
+    sp.add_argument("--u0", type=_finite_float, default=0.2)
+    sp.add_argument("--u1", type=_finite_float, default=2.0)
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_table)
 

@@ -3,6 +3,9 @@ Wavefront OBJ, and coordinate sample tables as CSV.
 
 All writes are atomic (temp file + rename) and numeric fields use the
 shortest round-trip representation so emitted files re-ingest losslessly.
+Each distinct value (64-bit pattern) of a file is formatted once, and the
+file is built with one %-format of a repeated row template; the bytes are
+those of formatting every field on its own.
 """
 
 from __future__ import annotations
@@ -68,8 +71,13 @@ class MeshSpec:
             raise ValueError("mesh divisions must be at least 3")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _fmt(values) -> list:
+    """``repr(float(v))`` for every element of ``values``, row-major.  Each
+    distinct 64-bit pattern is formatted once: patterns, not values, since
+    0.0 and -0.0 are equal but print differently."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).ravel().view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def _atomic_write(path: str, text: str):
@@ -124,22 +132,19 @@ def export_graticule_svg(
     view = (min_x - pad, min_y - pad, (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad)
     stroke_width = 0.004 * span
 
-    def polyline(z, color):
-        coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in zip(z.real.tolist(), (-z.imag).tolist()))
-        return '  <polyline points="%s" fill="none" stroke="%s" stroke-width="%s"/>' % (
-            coords,
-            color,
-            _fmt(stroke_width),
-        )
-
-    lines = [
+    # the rows are a template with one "%s,%s" per point, filled in below
+    head = _fmt(view + (stroke_width,))
+    rows = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%s %s %s %s">'
-        % tuple(_fmt(v) for v in view),
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%s %s %s %s">' % tuple(head[:4]),
     ]
-    lines += [polyline(z, color) for z, color in polylines]
-    lines.append("</svg>")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows += [
+        '  <polyline points="%s" fill="none" stroke="%s" stroke-width="%s"/>'
+        % (" ".join(["%s,%s"] * len(z)), color, head[4])
+        for z, color in polylines
+    ]
+    rows.append("</svg>\n")
+    _atomic_write(path, "\n".join(rows) % tuple(_fmt(np.stack([all_z.real, -all_z.imag], axis=-1))))
     return {
         "path": path,
         "meridians": spec.n_meridians,
@@ -155,24 +160,21 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     nt, nu = spec.t_divisions, spec.u_divisions
     u_values = np.linspace(spec.u_range.lo, spec.u_range.hi, nu)
     radii = profile_jet(p, u_values)[0]
-    heights = [_fmt(g) for g in eval_g(p, u_values, spec.u_ref).tolist()]
+    heights = eval_g(p, u_values, spec.u_ref)
 
     angles = [2.0 * math.pi * i / nt for i in range(nt)]
-    xs = np.multiply.outer([math.cos(t) for t in angles], radii).tolist()
-    ys = np.multiply.outer([math.sin(t) for t in angles], radii).tolist()
-    rows = [
-        "v %s %s %s" % (_fmt(x), _fmt(y), z)
-        for x_ring, y_ring in zip(xs, ys)
-        for x, y, z in zip(x_ring, y_ring, heights)
-    ]
+    xs = np.multiply.outer([math.cos(t) for t in angles], radii)
+    ys = np.multiply.outer([math.sin(t) for t in angles], radii)
+    xyz = np.stack([xs, ys, np.broadcast_to(heights, xs.shape)], axis=-1)
+    vertices = ("v %s %s %s\n" * (nt * nu)) % tuple(_fmt(xyz))
 
     # 1-based ids of vertex (i, j) and of its neighbour (i + 1 mod nt, j)
     here = np.arange(nt)[:, None] * nu + np.arange(1, nu)[None, :]
     ahead = np.roll(here, -1, axis=0)
-    quads = np.stack([here, ahead, ahead + 1, here + 1], axis=-1).reshape(-1, 4).tolist()
-    rows += ["f %d %d %d %d" % tuple(quad) for quad in quads]
+    quads = np.stack([here, ahead, ahead + 1, here + 1], axis=-1)
+    faces = ("f %d %d %d %d\n" * (nt * (nu - 1))) % tuple(quads.ravel().tolist())
 
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _atomic_write(path, vertices + faces)
     return {"path": path, "vertices": nt * nu, "faces": nt * (nu - 1)}
 
 
@@ -181,10 +183,8 @@ def sample_table_csv(
 ) -> dict:
     """Write header ``t,u,x,y`` then one row per (t, u) grid point with the
     projected coordinates, full double precision."""
-    points = np.array([(t, u) for t, u in grid], dtype=float).reshape(-1, 2)
+    points = np.asarray(grid, dtype=float).reshape(-1, 2)
     z, _, _ = plane_map(p, params, points[:, 0], points[:, 1])
-    lines = ["t,u,x,y"]
-    for (t, u), x, y in zip(points.tolist(), z.real.tolist(), z.imag.tolist()):
-        lines.append("%s,%s,%s,%s" % (_fmt(t), _fmt(u), _fmt(x), _fmt(y)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = ("%s,%s,%s,%s\n" * len(points)) % tuple(_fmt(np.column_stack([points, z.real, z.imag])))
+    _atomic_write(path, "t,u,x,y\n" + rows)
     return {"path": path, "rows": len(points)}

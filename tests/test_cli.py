@@ -317,6 +317,32 @@ class TestUsageErrors:
         assert code == 2
         assert "discriminant" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u-ref", "nan"),
+        ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u1", "inf"),
+        ("table", "--c", "1", "--d", "0", "--k", "1", "--t1", "nan"),
+        ("table", "--c", "1", "--d", "0", "--k", "1", "--c0", "inf"),
+        ("table", "--c", "1", "--d", "0", "--k", "1", "--t0", "-inf"),
+        ("export-graticule", "--c", "1", "--d", "0", "--k", "1", "--t1", "inf"),
+        ("export-graticule", "--c", "nan", "--d", "0", "--k", "1"),
+        ("export-graticule", "--c", "1", "--d", "0", "--k", "1", "--u0", "-nan"),
+    ])
+    def test_nonfinite_float_flag_writes_nothing(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "-o", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--u", "inf"), ("--k", "-inf"), ("--c0", "nan")])
+    def test_nonfinite_project_flag_is_usage_error(self, capsys, flag, value):
+        argv = {"--c": "1", "--d": "0", "--k": "1", "--t": "0", "--u": "1", flag: value}
+        code, out, err = run(capsys, "project", *(token for item in argv.items() for token in item))
+        assert code == 2
+        assert out == ""
+        assert flag in err and "finite" in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

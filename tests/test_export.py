@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import revproj.export as export_mod
 from revproj import (
@@ -21,6 +23,7 @@ from revproj import (
     invert,
     make_projection_params,
     make_quadratic_profile,
+    plane_map,
     profile_jet,
     project,
     sample_table_csv,
@@ -36,6 +39,21 @@ def _polylines(path):
 
 def _points(element):
     return [tuple(float(v) for v in pair.split(",")) for pair in element.get("points").split()]
+
+
+# values that print alike but differ in bits, or that only a lossless
+# formatter keeps apart; drawn often, so arrays repeat them
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.1]
+
+
+class TestFormatter:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+                  elements=st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_subnormal=True)))
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    @example(np.empty((0, 4)))
+    def test_matches_repr_of_every_element(self, a):
+        assert export_mod._fmt(a) == [repr(float(v)) for v in a.ravel()]
 
 
 class TestSpecs:
@@ -136,6 +154,47 @@ class TestGraticuleSvg:
         spec = GraticuleSpec((0.0, math.pi), DomainInterval(0.2, 2.0))
         with pytest.raises(CollinearityViolation):
             export_graticule_svg(fig1, fig1_params, spec, str(tmp_path / "bad.svg"))
+
+
+    @pytest.mark.parametrize("t_range", [(0.0, math.pi), (-0.7, 2.9)])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_bytes_match_per_point_loop(self, fig1, t_range, mirror, tmp_path):
+        params = make_projection_params(fig1, mirror_theta0=mirror)
+        spec = GraticuleSpec(t_range, DomainInterval(0.2, 2.0), 5, 4, 17)
+        path = tmp_path / "g.svg"
+        export_graticule_svg(fig1, params, spec, str(path))
+        text = path.read_text()
+        assert text == _per_point_svg(fig1, params, spec)
+        if t_range[0] == 0.0:
+            # Phi(0, u) lies on the x axis, so its flipped y is -0.0
+            assert ",-0.0 " in text
+
+
+def _per_point_svg(p, params, spec):
+    """SVG text built one point at a time, each coordinate formatted on its
+    own, from the same samples of the map as the emitter."""
+    t_values = np.linspace(*spec.t_range, spec.n_meridians)
+    u_values = np.linspace(spec.u_range.lo, spec.u_range.hi, spec.n_parallels)
+    u_samples = np.linspace(spec.u_range.lo, spec.u_range.hi, spec.samples_per_curve)
+    t_samples = np.linspace(*spec.t_range, spec.samples_per_curve)
+    meridians = plane_map(p, params, t_values[:, None], u_samples[None, :])[0]
+    parallels = plane_map(p, params, t_samples[None, :], u_values[:, None])[0]
+    curves = [(z, "#202020") for z in meridians[:, [0, -1]]] + [(z, "#777777") for z in parallels]
+    xs = [float(x) for z, _ in curves for x in z.real]
+    ys = [-float(y) for z, _ in curves for y in z.imag]
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    pad = 0.05 * span
+    view = (min(xs) - pad, min(ys) - pad, (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%r %r %r %r">' % view,
+    ]
+    for z, color in curves:
+        points = " ".join("%r,%r" % (float(w.real), -float(w.imag)) for w in z)
+        width = 0.004 * span
+        lines.append('  <polyline points="%s" fill="none" stroke="%s" stroke-width="%r"/>' % (points, color, width))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 class TestMeshObj:
@@ -262,6 +321,32 @@ class TestSampleTableCsv:
         sample_table_csv(fig1, fig1_params, [(0.0, 1.0)], str(path))
         data = open(path, "rb").read()
         assert b"\r" not in data
+
+
+    @pytest.mark.parametrize("t0", [0.0, -0.0, -1.3])
+    def test_bytes_match_per_row_loop(self, fig1, fig1_params, t0, tmp_path):
+        grid = [(t, u) for t in np.linspace(t0, t0 + 2.0, 4) for u in np.linspace(0.3, 1.9, 5)]
+        path = tmp_path / "t.csv"
+        sample_table_csv(fig1, fig1_params, grid, str(path))
+        assert path.read_text() == _per_row_csv(fig1, fig1_params, grid)
+
+    def test_grid_array_and_pair_list_write_the_same_bytes(self, fig1, fig1_params, tmp_path):
+        t_grid, u_grid = np.meshgrid(np.linspace(0.0, 3.0, 4), np.linspace(0.3, 1.9, 5), indexing="ij")
+        pairs = [(t, u) for t in np.linspace(0.0, 3.0, 4) for u in np.linspace(0.3, 1.9, 5)]
+        sample_table_csv(fig1, fig1_params, np.stack([t_grid, u_grid], axis=-1).reshape(-1, 2), str(tmp_path / "a.csv"))
+        sample_table_csv(fig1, fig1_params, pairs, str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _per_row_csv(p, params, grid):
+    """CSV text built one row at a time, each field formatted on its own,
+    from the same map samples as the emitter."""
+    points = np.array(grid, dtype=float)
+    z = plane_map(p, params, points[:, 0], points[:, 1])[0]
+    rows = ["t,u,x,y"]
+    for (t, u), w in zip(points, z):
+        rows.append("%r,%r,%r,%r" % (float(t), float(u), float(w.real), float(w.imag)))
+    return "\n".join(rows) + "\n"
 
 
 class TestAtomicWrite:
