@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearityViolation, IoFailure
+from .errors import CollinearityViolation, DegenerateLine, IoFailure
 from .profile import DomainInterval, QuadraticProfile, eval_g, profile_jet
 from .projection import ProjectionParams, plane_map
 from .verifier import meridian_deviation, straightness_tolerance
@@ -80,6 +80,32 @@ def _fmt(values) -> list:
     return text[inverse].tolist()
 
 
+def _unit_circle(n: int):
+    """Lists of cos(2 pi i/n) and sin(2 pi i/n) for i < n.  Each angle is
+    reduced in integers to whole quarter turns plus an angle of at most
+    pi/4, so no rounded multiple of 2 pi reaches math.cos/math.sin: the
+    entries are as accurate as those functions on [0, pi/4], and they keep
+    the circle's symmetries exactly (cos and sin coincide up to sign across
+    them, and quarter turns read 0.0)."""
+    cos_t, sin_t = [], []
+    for i in range(n):
+        quadrant, r = divmod(4 * i, n)
+        if 2 * r == n:
+            c = s = math.sqrt(0.5)
+        elif 2 * r < n:
+            phi = 0.5 * math.pi * r / n
+            c, s = math.cos(phi), math.sin(phi)
+        else:
+            # the remainder is nearer the next quarter turn: measure from it
+            phi = 0.5 * math.pi * (n - r) / n
+            c, s = math.sin(phi), math.cos(phi)
+        for _ in range(quadrant):
+            c, s = -s, c
+        cos_t.append(c + 0.0)  # + 0.0 folds -0.0 to 0.0
+        sin_t.append(s + 0.0)
+    return cos_t, sin_t
+
+
 def _atomic_write(path: str, text: str):
     """Write ``text`` to a fresh temporary file beside ``path``, then rename
     it over ``path``; on any failure the temporary file is removed."""
@@ -127,7 +153,11 @@ def export_graticule_svg(
     all_z = np.concatenate([z for z, _ in polylines])
     min_x, max_x = float(all_z.real.min()), float(all_z.real.max())
     min_y, max_y = float(-all_z.imag.max()), float(-all_z.imag.min())
-    span = max(max_x - min_x, max_y - min_y, 1e-9)
+    # each meridian image has length u_hi - u_lo > 0, so the span is positive
+    # and scales with the profile
+    span = max(max_x - min_x, max_y - min_y)
+    if not span > 0.0:
+        raise DegenerateLine("graticule image has zero extent")
     pad = SVG_MARGIN_FRACTION * span
     view = (min_x - pad, min_y - pad, (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad)
     stroke_width = 0.004 * span
@@ -162,9 +192,9 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     radii = profile_jet(p, u_values)[0]
     heights = eval_g(p, u_values, spec.u_ref)
 
-    angles = [2.0 * math.pi * i / nt for i in range(nt)]
-    xs = np.multiply.outer([math.cos(t) for t in angles], radii)
-    ys = np.multiply.outer([math.sin(t) for t in angles], radii)
+    cos_t, sin_t = _unit_circle(nt)
+    xs = np.multiply.outer(cos_t, radii)
+    ys = np.multiply.outer(sin_t, radii)
     xyz = np.stack([xs, ys, np.broadcast_to(heights, xs.shape)], axis=-1)
     vertices = ("v %s %s %s\n" * (nt * nu)) % tuple(_fmt(xyz))
 

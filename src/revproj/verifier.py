@@ -212,10 +212,10 @@ def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = S
 def check_meridian_straightness(p, params, t: float, u_samples) -> ResidualReport:
     """Max perpendicular distance of the sampled meridian image from the
     straight line through its first and last points."""
-    u_samples = list(u_samples)
-    if len(u_samples) < 3:
+    us = np.asarray(u_samples, dtype=float)
+    if len(us) < 3:
         raise ValueError("straightness check needs at least 3 u-samples")
-    z, _, _ = plane_map(p, params, t, np.array(u_samples, dtype=float))
+    z, _, _ = plane_map(p, params, t, us)
     deviations, chord = meridian_deviation(z)
     if chord < 1e-15:
         raise DegenerateLine("meridian image endpoints coincide at t=%g" % t)
@@ -230,8 +230,7 @@ def check_structural_identities(p: QuadraticProfile, u_samples):
         f' cos a - f a' sin a = 0
         f' sin a + f a' cos a = sqrt(c)
     """
-    u_samples = list(u_samples)
-    us = np.array(u_samples, dtype=float)
+    us = np.asarray(u_samples, dtype=float)
     f, fp, fpp = profile_jet(p, us)
     a, ap = meridian_turning(p, us)
     app = -p.sqrt_neg_delta * fp / (f * f * f)

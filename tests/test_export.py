@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import revproj.export as export_mod
 from revproj import (
     CollinearityViolation,
+    DegenerateLine,
     DomainInterval,
     GraticuleSpec,
     IoFailure,
@@ -54,6 +55,63 @@ class TestFormatter:
     @example(np.empty((0, 4)))
     def test_matches_repr_of_every_element(self, a):
         assert export_mod._fmt(a) == [repr(float(v)) for v in a.ravel()]
+
+
+def _mpmath_ring(n, bits=128):
+    """cos and sin of 2 pi i/n for i < n as integers scaled by 2**bits:
+    mpmath's 40-digit cos and sin of 2 pi/n, raised to each power by integer
+    complex products (each off by under one unit, so the n-th power is good
+    to ~n 2**-bits, far below a double's eps)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        root = mpmath.cos(2 * mpmath.pi / n), mpmath.sin(2 * mpmath.pi / n)
+        wc, ws = (int(mpmath.nint(v * 2**bits)) for v in root)
+    c, s = 1 << bits, 0
+    ring = []
+    for _ in range(n):
+        ring.append((c, s))
+        c, s = (c * wc - s * ws) >> bits, (c * ws + s * wc) >> bits
+    return ring
+
+
+class TestUnitCircle:
+    def test_within_one_eps_of_mpmath(self):
+        # x * 2**128 is exact for |x| <= 1, so the error is measured exactly
+        scale, eps = 2.0**128, np.finfo(float).eps
+        worst = []
+        for n in range(3, 1025):
+            cos_t, sin_t = export_mod._unit_circle(n)
+            assert len(cos_t) == len(sin_t) == n
+            error = max(
+                max(abs(int(c * scale) - rc), abs(int(s * scale) - rs))
+                for c, s, (rc, rs) in zip(cos_t, sin_t, _mpmath_ring(n))
+            )
+            worst.append(error / scale)
+        assert max(worst) <= eps
+
+    def test_exact_symmetries(self):
+        for n in range(3, 1025):
+            cos_t, sin_t = export_mod._unit_circle(n)
+            assert (cos_t[0], sin_t[0]) == (1.0, 0.0)
+            assert cos_t[1:] == cos_t[:0:-1] and sin_t[1:] == [-v for v in sin_t[:0:-1]]
+            if n % 2 == 0:
+                assert cos_t[n // 2:] == [-v for v in cos_t[:n // 2]]
+            if n % 4 == 0:
+                assert cos_t[n // 4:] == [-v for v in sin_t[:3 * n // 4]]
+            assert all(math.copysign(1.0, v) == 1.0 for v in cos_t + sin_t if v == 0.0)
+
+    def test_quarter_turns_print_zero(self, fig1, tmp_path):
+        path = tmp_path / "octants.obj"
+        export_mesh_obj(fig1, MeshSpec(8, 5, DomainInterval(0.2, 2.0), 0.2), str(path))
+        text = path.read_text()
+        assert "-0.0" not in text.split()
+        rings = [line.split()[1:3] for line in text.splitlines() if line.startswith("v ")]
+        rings = [rings[5 * i:5 * i + 5] for i in range(8)]
+        # y at 0 and pi, x at pi/2 and 3 pi/2; x = y at pi/4
+        assert all(y == "0.0" for i in (0, 4) for _, y in rings[i])
+        assert all(x == "0.0" for i in (2, 6) for x, _ in rings[i])
+        assert all(x == y for x, y in rings[1])
 
 
 class TestSpecs:
@@ -156,6 +214,33 @@ class TestGraticuleSvg:
             export_graticule_svg(fig1, fig1_params, spec, str(tmp_path / "bad.svg"))
 
 
+    @pytest.mark.parametrize("coeffs, u_range", [((1.0, 0.0, 1.0), (1.0, 2.0)), ((2.5, -1.0, 0.6), (0.25, 0.55))])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
+    def test_viewbox_and_stroke_scale_with_the_profile(self, coeffs, u_range, scale, tmp_path):
+        # the homothety u -> lu, f -> lf maps (c, d, k) to (c, l d, l^2 k)
+        # and scales the plane image by l, so the viewBox and stroke must too
+        def drawn(lam):
+            c, d, k = coeffs
+            p = make_quadratic_profile(c, lam * d, lam * lam * k)
+            spec = GraticuleSpec((0.0, math.pi), DomainInterval(lam * u_range[0], lam * u_range[1]), 2, 2, 8)
+            path = tmp_path / ("%g.svg" % lam)
+            view = export_graticule_svg(p, make_projection_params(p), spec, str(path))["viewbox"]
+            return view + (float(_polylines(path)[0].get("stroke-width")),)
+
+        assert drawn(scale) == pytest.approx([scale * v for v in drawn(1.0)], rel=1e-12)
+
+    def test_zero_extent_raises_before_writing(self, fig1, fig1_params, tmp_path, monkeypatch):
+        def collapsed(p, params, t, u):
+            shape = np.broadcast(t, u).shape
+            return np.zeros(shape, dtype=complex), np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
+
+        monkeypatch.setattr(export_mod, "plane_map", collapsed)
+        spec = GraticuleSpec((0.0, math.pi), DomainInterval(0.2, 2.0))
+        with pytest.raises(DegenerateLine):
+            export_graticule_svg(fig1, fig1_params, spec, str(tmp_path / "flat.svg"))
+        assert list(tmp_path.iterdir()) == []
+
+
     @pytest.mark.parametrize("t_range", [(0.0, math.pi), (-0.7, 2.9)])
     @pytest.mark.parametrize("mirror", [False, True])
     def test_bytes_match_per_point_loop(self, fig1, t_range, mirror, tmp_path):
@@ -182,7 +267,7 @@ def _per_point_svg(p, params, spec):
     curves = [(z, "#202020") for z in meridians[:, [0, -1]]] + [(z, "#777777") for z in parallels]
     xs = [float(x) for z, _ in curves for x in z.real]
     ys = [-float(y) for z, _ in curves for y in z.imag]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    span = max(max(xs) - min(xs), max(ys) - min(ys))
     pad = 0.05 * span
     view = (min(xs) - pad, min(ys) - pad, (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad)
     lines = [
@@ -262,6 +347,28 @@ class TestMeshObj:
             assert "nan" not in (tmp_path / name).read_text().lower()
 
 
+# (cos, sin) of m quarter turns
+QUARTER_TURNS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+def _ring_cos_sin(i, n):
+    """cos and sin of 2 pi i/n for one ring: the nearest quarter turn m and
+    the signed remainder 2 pi i/n - m pi/2 = +-(pi/2) r/n, with r an integer
+    of at most n/2, taken by math.cos/math.sin and turned through m quarter
+    turns; -0.0 reads 0.0."""
+    m = (8 * i + n) // (2 * n)  # round(4 i/n), halves rounded up
+    r = abs(4 * i - m * n)
+    if 2 * r == n:
+        c = s = math.sqrt(0.5)
+    else:
+        c, s = math.cos(math.pi / 2 * r / n), math.sin(math.pi / 2 * r / n)
+    if 4 * i < m * n:
+        s = -s
+    a, b = QUARTER_TURNS[m % 4]
+    cos_t, sin_t = a * c - b * s, b * c + a * s
+    return (cos_t if cos_t else 0.0), (sin_t if sin_t else 0.0)
+
+
 def _per_vertex_obj(p, spec):
     """OBJ text built one vertex and one face at a time, the height formatted
     for every vertex."""
@@ -271,8 +378,7 @@ def _per_vertex_obj(p, spec):
     heights = [eval_g(p, u, spec.u_ref) for u in u_values.tolist()]
     rows = []
     for i in range(nt):
-        t = 2.0 * math.pi * i / nt
-        cos_t, sin_t = math.cos(t), math.sin(t)
+        cos_t, sin_t = _ring_cos_sin(i, nt)
         for f, z in zip(radii, heights):
             rows.append("v %r %r %r" % (f * cos_t, f * sin_t, z))
 
