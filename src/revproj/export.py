@@ -3,9 +3,11 @@ Wavefront OBJ, and coordinate sample tables as CSV.
 
 All writes are atomic (temp file + rename) and numeric fields use the
 shortest round-trip representation so emitted files re-ingest losslessly.
-Each distinct value (64-bit pattern) of a file is formatted once, and the
-file is built with one %-format of a repeated row template; the bytes are
-those of formatting every field on its own.
+Each distinct magnitude (64-bit pattern less its sign bit) of a file is
+formatted once, and a negative field is "-" and its magnitude's text.  The
+text fields are filled in with one %-format of a repeated row template, and
+the mesh's face block is assembled as bytes from a table of digits.  The
+bytes are those of formatting every field on its own.
 """
 
 from __future__ import annotations
@@ -73,11 +75,15 @@ class MeshSpec:
 
 def _fmt(values) -> list:
     """``repr(float(v))`` for every element of ``values``, row-major.  Each
-    distinct 64-bit pattern is formatted once: patterns, not values, since
-    0.0 and -0.0 are equal but print differently."""
-    bits, inverse = np.unique(np.asarray(values, dtype=float).ravel().view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+    distinct magnitude (64-bit pattern with the sign bit cleared) is
+    formatted once, and a value with the sign bit set reads ``"-"`` before
+    its magnitude's text: so 0.0 and -0.0 print apart, x and -x share one
+    ``repr``, and a NaN prints ``nan`` whatever its sign bit."""
+    values = np.asarray(values, dtype=float).ravel()
+    magnitudes, inverse = np.unique(values.view(np.uint64) & np.uint64(2**63 - 1), return_inverse=True)
+    text = list(map(repr, magnitudes.view(np.float64).tolist()))
+    text = np.array(text + ["-" + s if s != "nan" else s for s in text], dtype=object)
+    return text[inverse + len(magnitudes) * np.signbit(values)].tolist()
 
 
 def _unit_circle(n: int):
@@ -104,6 +110,28 @@ def _unit_circle(n: int):
         cos_t.append(c + 0.0)  # + 0.0 folds -0.0 to 0.0
         sin_t.append(s + 0.0)
     return cos_t, sin_t
+
+
+def _face_block(quads, n_vertices: int) -> str:
+    """The OBJ lines ``f a b c d`` of the rows of ``quads``, 1-based vertex
+    ids of at most ``n_vertices``, assembled as bytes.  A table holds each
+    id's decimal digits right-aligned in ``width`` bytes, NUL before the
+    leading digit, and a space after them; each line is ``f `` and the four
+    rows of its ids, the last space made a newline, and the NULs are dropped
+    at the end."""
+    width = len(str(n_vertices))
+    ids = np.arange(n_vertices + 1)
+    digits = np.full((n_vertices + 1, width + 1), ord(" "), dtype=np.uint8)
+    for k in range(width):
+        place = 10 ** (width - 1 - k)
+        digits[:, k] = np.where(ids >= place, ids // place % 10 + ord("0"), 0)
+    lines = np.empty((len(quads), 2 + 4 * (width + 1)), dtype=np.uint8)
+    lines[:, :2] = np.frombuffer(b"f ", dtype=np.uint8)
+    # the ids are in range by construction; mode="raise" would gather into
+    # a temporary buffer first, "clip" writes straight into the lines
+    np.take(digits, quads, axis=0, out=lines[:, 2:].reshape(len(quads), 4, width + 1), mode="clip")
+    lines[:, -1] = ord("\n")
+    return lines[lines != 0].tobytes().decode("ascii")
 
 
 def _atomic_write(path: str, text: str):
@@ -202,7 +230,7 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     here = np.arange(nt)[:, None] * nu + np.arange(1, nu)[None, :]
     ahead = np.roll(here, -1, axis=0)
     quads = np.stack([here, ahead, ahead + 1, here + 1], axis=-1)
-    faces = ("f %d %d %d %d\n" * (nt * (nu - 1))) % tuple(quads.ravel().tolist())
+    faces = _face_block(quads.reshape(-1, 4), nt * nu)
 
     _atomic_write(path, vertices + faces)
     return {"path": path, "vertices": nt * nu, "faces": nt * (nu - 1)}

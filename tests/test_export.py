@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -42,9 +43,13 @@ def _points(element):
     return [tuple(float(v) for v in pair.split(",")) for pair in element.get("points").split()]
 
 
+# a NaN with its sign bit set: repr prints it "nan", like any NaN
+SIGNED_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0]
+
 # values that print alike but differ in bits, or that only a lossless
 # formatter keeps apart; drawn often, so arrays repeat them
-SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.1]
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, SIGNED_NAN, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.0, 0.1]
 
 
 class TestFormatter:
@@ -52,6 +57,9 @@ class TestFormatter:
     @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
                   elements=st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_subnormal=True)))
     @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    # each value beside its negation, which shares its magnitude's text: a
+    # NaN stays "nan" either way, -0.0, -inf and -5e-324 keep their sign
+    @example(np.array([[v, -v] for v in SPECIAL_FLOATS]))
     @example(np.empty((0, 4)))
     def test_matches_repr_of_every_element(self, a):
         assert export_mod._fmt(a) == [repr(float(v)) for v in a.ravel()]
@@ -329,13 +337,23 @@ class TestMeshObj:
         assert last == (11, 2, 3, 12)
 
     @pytest.mark.parametrize("coeffs, u_range", [((1.0, 0.0, 1.0), (0.05, 2.0)), ((2.5, -1.0, 0.6), (0.25, 0.55))])
-    @pytest.mark.parametrize("nt", [7, 64])
-    def test_bytes_match_per_vertex_loop(self, coeffs, u_range, nt, tmp_path):
+    @pytest.mark.parametrize("nt, nu", [(7, 9), (64, 9), (192, 96)], ids=["7", "64", "192x96"])
+    def test_bytes_match_per_vertex_loop(self, coeffs, u_range, nt, nu, tmp_path):
         p = make_quadratic_profile(*coeffs)
-        spec = MeshSpec(nt, 9, DomainInterval(*u_range), u_range[0])
+        spec = MeshSpec(nt, nu, DomainInterval(*u_range), u_range[0])
         path = tmp_path / "mesh.obj"
         export_mesh_obj(p, spec, str(path))
         assert path.read_bytes() == _per_vertex_obj(p, spec).encode()
+
+    # vertex counts at or on either side of each power of ten up to 100,000, so
+    # the largest id has each width from 1 to 6 digits
+    @pytest.mark.parametrize("nt, nu", [(3, 3), (3, 4), (3, 33), (3, 34), (10, 100), (4, 2500), (3, 3334),
+                                        (1000, 100)])
+    def test_face_block_matches_per_face_template(self, fig1, nt, nu, tmp_path):
+        path = tmp_path / "mesh.obj"
+        export_mesh_obj(fig1, MeshSpec(nt, nu, DomainInterval(0.05, 2.0), 0.05), str(path))
+        text = path.read_text()
+        assert text[text.index("\nf ") + 1:] == "".join(line + "\n" for line in _per_face_lines(nt, nu))
 
     def test_no_nan_tokens_in_any_emitted_file(self, fig1, fig1_params, tmp_path):
         export_mesh_obj(fig1, MeshSpec(8, 8, DomainInterval(0.05, 2.0), 0.05), str(tmp_path / "clean.obj"))
@@ -381,15 +399,21 @@ def _per_vertex_obj(p, spec):
         cos_t, sin_t = _ring_cos_sin(i, nt)
         for f, z in zip(radii, heights):
             rows.append("v %r %r %r" % (f * cos_t, f * sin_t, z))
+    return "\n".join(rows + _per_face_lines(nt, nu)) + "\n"
 
+
+def _per_face_lines(nt, nu):
+    """The OBJ face lines of an nt x nu mesh, one quad at a time, with the
+    last ring of faces wrapped back to the first."""
     def vid(i, j):
         return i * nu + j + 1
 
+    rows = []
     for i in range(nt):
         i_next = (i + 1) % nt
         for j in range(nu - 1):
             rows.append("f %d %d %d %d" % (vid(i, j), vid(i_next, j), vid(i_next, j + 1), vid(i, j + 1)))
-    return "\n".join(rows) + "\n"
+    return rows
 
 
 class TestSampleTableCsv:
