@@ -15,7 +15,6 @@ function used by the existence classifier.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -103,13 +102,14 @@ class QuadraticProfile:
 class GeneralProfile:
     """An arbitrary radius function u -> f(u) > 0 on a bounded domain.
 
-    ``evaluator`` may be any scalar callable; use :meth:`from_table` for
-    tabulated data, which keeps the rows as ``table`` (u, f) and evaluates
-    between them by monotone cubic interpolation, so numerical derivatives
-    stay free of spurious oscillation.
+    ``evaluator`` may be any scalar callable.  :meth:`from_table` builds a
+    profile from tabulated data instead: the rows (u, f) are kept as
+    ``table`` and are its only data, with ``evaluator`` None and the domain
+    running from the first row to the last.  Consumers read a table at its
+    rows and never between them; they test ``table``, not ``evaluator``.
     """
 
-    evaluator: Callable[[float], float]
+    evaluator: Optional[Callable[[float], float]]
     domain: DomainInterval
     table: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
 
@@ -118,59 +118,16 @@ class GeneralProfile:
         # copies, so the kept rows cannot change under the caller
         u = np.array(u_values, dtype=float)
         f = np.array(f_values, dtype=float)
-        if u.ndim != 1 or u.shape != f.shape or u.size < 4:
-            raise ValueError("table needs matching 1-D u and f arrays with >= 4 rows")
+        # five rows make one curvature window
+        if u.ndim != 1 or u.shape != f.shape or u.size < 5:
+            raise ValueError("table needs matching 1-D u and f arrays with >= 5 rows")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(f))):
             raise ValueError("table u- and f-values must be finite")
         if not np.all(np.diff(u) > 0):
             raise ValueError("table u-values must be strictly increasing")
         if not np.all(f > 0):
             raise ValueError("table f-values must be positive")
-        return cls(evaluator=_pchip(u, f), domain=DomainInterval(float(u[0]), float(u[-1])), table=(u, f))
-
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    """Three-point one-sided slope at a table end, reset to 0 where its sign
-    differs from the end secant m0 and clipped to 3 m0 where the secants
-    change sign, so the end cubic stays monotone."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(u, f):
-    """Scalar evaluator of the monotone piecewise-cubic Hermite interpolant
-    through the table (u, f) (F. N. Fritsch and R. E. Carlson, SIAM J.
-    Numer. Anal. 17 (1980) 238-246), with the slopes of scipy's
-    PchipInterpolator: inside, the weighted harmonic mean of the two
-    neighbouring secants, or 0 where they differ in sign or one is 0; at
-    each end, ``_pchip_end_slope``.  Outside [u[0], u[-1]] the end cubics
-    extrapolate."""
-    h = np.diff(u)
-    m = np.diff(f) / h
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    inner = np.where(np.sign(m[1:]) * np.sign(m[:-1]) > 0, inner, 0.0)
-    slopes = np.concatenate((
-        [_pchip_end_slope(h[0], h[1], m[0], m[1])], inner, [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]
-    ))
-    # each interval's cubic in s = x - u[i], highest power first
-    t = (slopes[:-1] + slopes[1:] - 2.0 * m) / h
-    cubics = list(zip((t / h).tolist(), ((m - slopes[:-1]) / h - t).tolist(), slopes[:-1].tolist(), f[:-1].tolist()))
-    knots = u.tolist()
-    last = len(cubics) - 1
-
-    def evaluate(x):
-        i = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
-        c3, c2, c1, c0 = cubics[i]
-        s = x - knots[i]
-        return float(((c3 * s + c2) * s + c1) * s + c0)
-
-    return evaluate
+        return cls(evaluator=None, domain=DomainInterval(float(u[0]), float(u[-1])), table=(u, f))
 
 
 def make_quadratic_profile(c: float, d: float, k: float) -> QuadraticProfile:

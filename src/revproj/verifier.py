@@ -366,15 +366,45 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
     return ExistenceVerdict(gate == "admissible", gate, misfit, fitted, curvature_range, **diagnostics)
 
 
+def _row_curvature(u, f):
+    """K = w'^2/(4 w^2) - w''/(2 w), w = f^2, at the interior rows u[2:-2]
+    of a table, with w, w' and w'' read off the least-squares quadratic of
+    w over the 5-row window centred on each row: a Savitzky-Golay
+    derivative (A. Savitzky and M. J. E. Golay, Anal. Chem. 36 (1964)
+    1627-1639) that holds on uneven rows.  Each window's abscissae are
+    measured from its centre row in units of its half-width before the 3x3
+    normal equations are solved, so they stay in [-1, 1] at any scale and
+    K lambda^2 does not move under u -> lambda u, f -> lambda f.  It is
+    the classifier's own quadratic model, so an admissible table gives its
+    K to rounding."""
+    windows = np.lib.stride_tricks.sliding_window_view
+    half = 0.5 * (u[4:] - u[:-4])
+    x = (windows(u, 5) - u[2:-2, None]) / half[:, None]
+    basis = x[..., None] ** np.arange(3)  # 1, x, x^2 per row of each window
+    normal = np.einsum("mri,mrj->mij", basis, basis)
+    moments = np.einsum("mri,mr->mi", basis, windows(f * f, 5))
+    w, wx, wxx = np.linalg.solve(normal, moments[..., None])[..., 0].T
+    w1, w2 = wx / half, 2.0 * wxx / (half * half)
+    return w1 * w1 / (4.0 * w * w) - w2 / (2.0 * w)
+
+
 def curvature_report(p_or_gp, interval: DomainInterval, n: int = 100):
-    """(K_min, K_max, all_negative) sampled at n points.  Closed form for a
-    QuadraticProfile.  For a GeneralProfile, K = -f''/f with f'' from the
-    fourth-order five-point stencil (O(h^2) differences cannot reach ~1e-10)
-    at step W/200, W the interval width, so that K W^2 does not move under
-    u -> lambda u, f -> lambda f; samples are inset by the stencil width."""
+    """(K_min, K_max, all_negative).
+
+    * QuadraticProfile: the closed form at n points of ``interval``.
+    * GeneralProfile with a table: ``_row_curvature`` at the table's
+      interior rows; ``interval`` and n do not apply.
+    * GeneralProfile with a callable: K = -f''/f at n points of
+      ``interval``, with f'' from the fourth-order five-point stencil
+      (O(h^2) differences cannot reach ~1e-10) at step W/200, W the
+      interval width, so that K W^2 does not move under u -> lambda u,
+      f -> lambda f; samples are inset by the stencil width.
+    """
     if isinstance(p_or_gp, QuadraticProfile):
         us = np.linspace(interval.lo, interval.hi, n)
         ks = gaussian_curvature(p_or_gp, us)
+    elif p_or_gp.table is not None:
+        ks = _row_curvature(*p_or_gp.table)
     else:
         h = interval.width / 200.0
         us = np.linspace(interval.lo + 2 * h, interval.hi - 2 * h, n)

@@ -181,6 +181,12 @@ class TestClassifyCommand:
         code, out, err = run(capsys, "classify", "--profile", "csv:%s" % path)
         assert (code, err) == (0, "")
         assert out.startswith("exists: true\ngate: admissible\nmisfit: ")
+        # K = -1/(u^2 + 1)^2 at the interior rows, those with two rows on each side
+        u = np.linspace(0.2, hi, rows)[2:-2]
+        truth = (-1.0 / (u[0] ** 2 + 1.0) ** 2, -1.0 / (u[-1] ** 2 + 1.0) ** 2)
+        assert out.endswith("curvature_range: [%.6g, %.6g]\n" % truth)
+        verdict = verifier_mod.existence_classifier(cli_mod._resolve_profile_arg("csv:%s" % path))
+        assert verdict.curvature_range == pytest.approx(truth, rel=1e-9, abs=0.0)
 
     def test_csv_of_large_pseudosphere(self, capsys, tmp_path):
         # f = 50 e^{u/50} is the unit pseudosphere scaled by 50
@@ -216,7 +222,7 @@ class TestClassifyCommand:
 
     def test_csv_unsorted_u_rejected(self, capsys, tmp_path):
         path = tmp_path / "unsorted.csv"
-        path.write_text("u,f\n0.2,1.0\n0.5,1.1\n0.4,1.2\n0.9,1.3\n")
+        path.write_text("u,f\n0.2,1.0\n0.5,1.1\n0.4,1.2\n0.9,1.3\n1.1,1.4\n")
         code, _, err = run(capsys, "classify", "--profile", "csv:%s" % path)
         assert code == 2
         assert "increasing" in err

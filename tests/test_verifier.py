@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -320,6 +321,20 @@ class TestExistenceClassifier:
             verdict = existence_classifier(gp)
             assert (verdict.exists, verdict.gate) == (gate == "admissible", gate), (f1, lo, hi, lam)
 
+    def test_table_is_read_at_its_rows_only(self):
+        # benchmark/tracing.py swaps a table's evaluator for a wrapper by
+        # dataclasses.replace, so a table's evaluator may be a callable; it
+        # must never be called
+        def refuse(u):
+            raise AssertionError("table profile evaluated between its rows, at u=%r" % u)
+
+        admissible, sphere = np.linspace(0.2, 4.0, 20), np.linspace(0.2, 1.2, 41)
+        for gp in (GeneralProfile.from_table(admissible, np.sqrt(admissible * admissible + 1.0)),
+                   GeneralProfile.from_table(sphere, np.cos(sphere))):
+            guarded = dataclasses.replace(gp, evaluator=refuse)
+            assert existence_classifier(guarded) == existence_classifier(gp)
+            assert curvature_report(guarded, guarded.domain) == curvature_report(gp, gp.domain)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             existence_classifier(sphere_profile(), n_samples=5)
@@ -345,6 +360,46 @@ class TestCurvatureReport:
         k_min, k_max, _ = curvature_report(gp, gp.domain, 100)
         assert abs(k_min * lam * lam - 1.0) < 1e-8
         assert abs(k_max * lam * lam - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("f, lo, hi, k_range", [
+        (np.cos, 0.2, 1.2, (0.989546, 0.998954)),  # unit sphere, K = 1
+        (np.exp, -2.0, -0.5, (-0.997763, -0.997763)),  # pseudosphere, K = -1
+    ])
+    def test_table_rows_of_non_quadratic_profiles(self, f, lo, hi, k_range):
+        # 41 rows: each 5-row quadratic of f^2 misses its O(h^2) terms
+        u = np.linspace(lo, hi, 41)
+        gp = GeneralProfile.from_table(u, f(u))
+        k_min, k_max, _ = curvature_report(gp, gp.domain)
+        assert (k_min, k_max) == pytest.approx(k_range, abs=1e-5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-3.0, 3.0),
+        st.floats(-2.0, 2.0),
+        st.floats(-5.0, 5.0),
+        st.floats(-3.0, 3.0),
+        st.lists(st.floats(0.1, 0.5), min_size=4, max_size=20),
+        st.floats(-2.0, 3.0),
+    )
+    def test_table_rows_of_admissible_quadratic(self, log_c, log_len, u_star, start, gaps, log_lam):
+        # f^2 = c (u - u*)^2 + m, m = c L^2, on sorted uneven rows; u* and
+        # the rows are drawn in units of L, and K = -c m / f^4.  The two
+        # terms of K cancel by ~(u - u*)^2/L^2, so rows stay within 13 L of
+        # u*; over 5,000 such tables K was within 3.4e-11 relative
+        c, length = 10.0**log_c, 10.0**log_len
+        u_star, m = length * u_star, c * length * length
+        u = u_star + length * (start + np.concatenate(([0.0], np.cumsum(gaps))))
+        f_sq = c * (u - u_star) ** 2 + m
+        truth = -c * m / f_sq[2:-2] ** 2
+        f = np.sqrt(f_sq)
+        k_min, k_max, all_negative = curvature_report(GeneralProfile.from_table(u, f), None)
+        assert all_negative
+        assert abs(k_min / truth.min() - 1.0) < 1e-9 and abs(k_max / truth.max() - 1.0) < 1e-9
+        # u -> lam u, f -> lam f: K lam^2 does not move
+        lam = 10.0**log_lam
+        scaled_min, scaled_max, _ = curvature_report(GeneralProfile.from_table(lam * u, lam * f), None)
+        assert abs(scaled_min * lam * lam / k_min - 1.0) < 1e-9
+        assert abs(scaled_max * lam * lam / k_max - 1.0) < 1e-9
 
     def test_always_negative_for_admissible_profiles(self):
         p = make_quadratic_profile(1, 1, 1)
