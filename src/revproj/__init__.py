@@ -61,9 +61,9 @@ from .verifier import (
     check_structural_identities,
     curvature_report,
     existence_classifier,
-    isometry_tolerance,
     ode_oracle_a,
     pseudosphere_profile,
     sphere_profile,
+    verify_report,
 )
 from .cli import cli_dispatch

@@ -33,15 +33,6 @@ from .profile import (
 )
 from .projection import Branch, make_projection_params, project
 
-# Residual tolerances enforced by ``verify``; a check fails when its max
-# residual meets or exceeds the bound.  The isometry and straightness rows
-# take theirs from the error models in verifier.isometry_tolerance and
-# verifier.straightness_tolerance instead.
-VERIFY_TOLERANCES = {
-    "structural": 1e-10,
-    "ode_oracle": 1e-8,
-}
-
 
 def _finite_float(text):
     """The type of every float flag: a number, but not nan or +-inf."""
@@ -102,47 +93,14 @@ def _cmd_project(args):
 
 
 def _cmd_verify(args):
-    lo, hi = verifier.FD_STEP_RANGE
-    if not lo <= args.fd_step <= hi:
-        # 0, the library's analytic mode, would print analytic residuals in
-        # the [fd] rows
-        raise ValueError("--fd-step must be within [%g, %g], got %r" % (lo, hi, args.fd_step))
     p = make_quadratic_profile(args.c, args.d, args.k)
-    params = _params_from_args(p, args)
-    nt, nu = args.grid
-    u_span = reference_interval(p)
-    rng = np.random.default_rng(args.seed)
-
-    rows = []
-    for mode, fd_step in (("fd", args.fd_step), ("analytic", 0.0)):
-        tol = verifier.isometry_tolerance(p, params, u_span, fd_step=fd_step)
-        for rep in verifier.check_local_isometry(p, params, u_span, nt=nt, nu=nu, fd_step=fd_step):
-            rows.append(("%s [%s]" % (rep.identity_name, mode), rep, tol))
-
-    u_line = np.linspace(u_span.lo, u_span.hi, 16)
-    worst_straightness = None
-    for t in rng.uniform(0.0, 2.0 * math.pi, size=3):
-        rep = verifier.check_meridian_straightness(p, params, float(t), u_line)
-        if worst_straightness is None or rep.max_abs_residual > worst_straightness.max_abs_residual:
-            worst_straightness = rep
-    rows.append((worst_straightness.identity_name, worst_straightness, verifier.straightness_tolerance(p, u_line)))
-
-    u_samples = rng.uniform(u_span.lo, u_span.hi, size=1000)
-    for rep in verifier.check_structural_identities(p, u_samples):
-        rows.append((rep.identity_name, rep, VERIFY_TOLERANCES["structural"]))
-
-    rep = verifier.ode_oracle_a(p, u_span.lo, u_span.hi, step=1e-3)
-    rows.append((rep.identity_name, rep, VERIFY_TOLERANCES["ode_oracle"]))
-
-    all_pass = True
+    reports = verifier.verify_report(p, _params_from_args(p, args), args.grid, args.fd_step, args.seed)
     print("%-42s %12s %12s %9s  %s" % ("check", "max", "mean", "tol", "status"))
-    for label, rep, tol in rows:
-        ok = rep.max_abs_residual < tol
-        all_pass &= ok
-        print(
-            "%-42s %12.3e %12.3e %9.0e  %s"
-            % (label, rep.max_abs_residual, rep.mean_abs_residual, tol, "pass" if ok else "FAIL")
-        )
+    for rep in reports:
+        status = "pass" if rep.passed else "FAIL"
+        print("%-42s %12.3e %12.3e %9.0e  %s" % (rep.identity_name, rep.max_abs_residual, rep.mean_abs_residual,
+                                               rep.bound, status))
+    all_pass = all(rep.passed for rep in reports)
     print("overall: %s" % ("pass" if all_pass else "FAIL"))
     return 0 if all_pass else 1
 

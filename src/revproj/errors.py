@@ -25,10 +25,10 @@ class SingularitySplit(RevprojError):
     def __init__(self, lower, upper):
         self.lower = lower
         self.upper = upper
-        super().__init__(
+        super().__init__(  # + 0.0 folds -0.0 to 0.0
             "zero-slope abscissa u*=%g is interior to the requested interval; "
             "candidate sides: [%g, %g) and (%g, %g]"
-            % (lower[1], lower[0], lower[1], upper[0], upper[1])
+            % tuple(v + 0.0 for v in (lower[1], lower[0], lower[1], upper[0], upper[1]))
         )
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,6 @@ from .verifier import meridian_deviation, straightness_tolerance
 MERIDIAN_DEVIATION_GUARD = 1e-9
 
 SVG_MARGIN_FRACTION = 0.05
-
-# Emitted files get the permissions a plain open() would give them.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def _unit_circle(n: int):
     return cos_t, sin_t
 
 
-def _face_block(quads, n_vertices: int) -> str:
+def _face_block(quads, n_vertices: int) -> bytes:
     """The OBJ lines ``f a b c d`` of the rows of ``quads``, 1-based vertex
     ids of at most ``n_vertices``, assembled as bytes.  A table holds each
     id's decimal digits right-aligned in ``width`` bytes, NUL before the
@@ -131,19 +126,19 @@ def _face_block(quads, n_vertices: int) -> str:
     # a temporary buffer first, "clip" writes straight into the lines
     np.take(digits, quads, axis=0, out=lines[:, 2:].reshape(len(quads), 4, width + 1), mode="clip")
     lines[:, -1] = ord("\n")
-    return lines[lines != 0].tobytes().decode("ascii")
+    return lines[lines != 0].tobytes()
 
 
-def _atomic_write(path: str, text: str):
-    """Write ``text`` to a fresh temporary file beside ``path``, then rename
-    it over ``path``; on any failure the temporary file is removed."""
+def _atomic_write(path: str, data: bytes):
+    """Write ``data`` to a fresh temporary file beside ``path``, then rename
+    it over ``path``; on any failure the temporary file is removed.  The
+    file is created with mode 0666 less the umask, as open() would."""
+    tmp = "%s.%s.tmp" % (path, os.urandom(8).hex())
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".",
-                                   suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", newline="\n") as handle:
-                os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp makes it 0600
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -202,7 +197,8 @@ def export_graticule_svg(
         for z, color in polylines
     ]
     rows.append("</svg>\n")
-    _atomic_write(path, "\n".join(rows) % tuple(_fmt(np.stack([all_z.real, -all_z.imag], axis=-1))))
+    text = "\n".join(rows) % tuple(_fmt(np.stack([all_z.real, -all_z.imag], axis=-1)))
+    _atomic_write(path, text.encode("ascii"))
     return {
         "path": path,
         "meridians": spec.n_meridians,
@@ -224,7 +220,7 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     xs = np.multiply.outer(cos_t, radii)
     ys = np.multiply.outer(sin_t, radii)
     xyz = np.stack([xs, ys, np.broadcast_to(heights, xs.shape)], axis=-1)
-    vertices = ("v %s %s %s\n" * (nt * nu)) % tuple(_fmt(xyz))
+    vertices = (("v %s %s %s\n" * (nt * nu)) % tuple(_fmt(xyz))).encode("ascii")
 
     # 1-based ids of vertex (i, j) and of its neighbour (i + 1 mod nt, j)
     here = np.arange(nt)[:, None] * nu + np.arange(1, nu)[None, :]
@@ -243,6 +239,6 @@ def sample_table_csv(
     projected coordinates, full double precision."""
     points = np.asarray(grid, dtype=float).reshape(-1, 2)
     z, _, _ = plane_map(p, params, points[:, 0], points[:, 1])
-    rows = ("%s,%s,%s,%s\n" * len(points)) % tuple(_fmt(np.column_stack([points, z.real, z.imag])))
-    _atomic_write(path, "t,u,x,y\n" + rows)
+    text = ("t,u,x,y\n" + "%s,%s,%s,%s\n" * len(points)) % tuple(_fmt(np.column_stack([points, z.real, z.imag])))
+    _atomic_write(path, text.encode("ascii"))
     return {"path": path, "rows": len(points)}

@@ -26,6 +26,7 @@ from .profile import (
     QuadraticProfile,
     gaussian_curvature,
     profile_jet,
+    reference_interval,
     slope_feasible_span,
 )
 from .projection import ProjectionParams, b_slope, meridian_turning, plane_map
@@ -45,6 +46,8 @@ STRAIGHTNESS_UNIT_BOUND = 1e-12
 # central-difference steps check_local_isometry accepts; 0 selects the
 # analytic Jacobian instead
 FD_STEP_RANGE = (1e-8, 1e-3)
+STRUCTURAL_BOUND = 1e-10  # fixed bounds of the structural identities
+ODE_ORACLE_BOUND = 1e-8  # and of the RK4 oracle, which have no error model
 # The classifier's bound on max|f^2 - fit| for an exact quadratic, in units
 # of eps max f^2.  A sample of f good to about an ulp gives f^2 to ~2.5 eps;
 # the least-squares residual maps that error through I - P (P the projector
@@ -57,13 +60,19 @@ CLASSIFIER_ROUNDING_FLOOR = 64.0
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Per-identity residual statistics over a sample set."""
+    """Per-identity residual statistics over a sample set, and their bound."""
 
     identity_name: str
     max_abs_residual: float
     mean_abs_residual: float
     worst_point: object
     samples: int
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        """max_abs_residual < bound: a max at the bound fails, and so does NaN."""
+        return self.max_abs_residual < self.bound
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,7 @@ class ExistenceVerdict:
     worst_u: float
 
 
-def _summarize(name, residuals, point_at):
+def _summarize(name, residuals, point_at, bound):
     """Report over a residual array; ``point_at(i)`` names the sample at
     flat index i, so only the worst point is ever built."""
     residuals = np.asarray(residuals, dtype=float)
@@ -101,6 +110,7 @@ def _summarize(name, residuals, point_at):
         mean_abs_residual=float(residuals.mean()),
         worst_point=point_at(worst),
         samples=residuals.size,
+        bound=bound,
     )
 
 
@@ -149,15 +159,17 @@ def check_local_isometry(
     """Residuals of the two preserved-length conditions on an nt x nu grid:
     | |dPhi/du| - 1 | and | |dPhi/dt| - f(u) |.
 
-    With fd_step > 0 the derivatives are central differences of the map;
-    fd_step = 0 switches to the analytic Jacobian.  Raises DomainExceeded
-    when the u-stencil would leave the admissible interval.
+    With fd_step > 0 the derivatives are central differences of the map
+    (rows ``[fd]``); fd_step = 0 switches to the analytic Jacobian (rows
+    ``[analytic]``).  The bound is :func:`isometry_tolerance`'s.  Raises
+    DomainExceeded when the u-stencil would leave the admissible interval.
     """
     if fd_step != 0.0 and not FD_STEP_RANGE[0] <= fd_step <= FD_STEP_RANGE[1]:
         raise ValueError("fd_step must be 0 (analytic) or within [%g, %g]" % FD_STEP_RANGE)
     lo_st, hi_st = u_span.lo - fd_step, u_span.hi + fd_step
-    if lo_st <= p.singular_u <= hi_st:
-        raise DomainExceeded("stencil [%g, %g] touches the zero-slope abscissa u*=%g" % (lo_st, hi_st, p.singular_u))
+    u_star = p.singular_u + 0.0  # + 0.0 folds -0.0 to 0.0 in the message
+    if lo_st <= u_star <= hi_st:
+        raise DomainExceeded("stencil [%g, %g] touches the zero-slope abscissa u*=%g" % (lo_st, hi_st, u_star))
     feas_lo, feas_hi = slope_feasible_span(p)
     if lo_st < feas_lo or hi_st > feas_hi:
         raise DomainExceeded("stencil [%g, %g] leaves the arc-length-feasible window" % (lo_st, hi_st))
@@ -177,9 +189,11 @@ def check_local_isometry(
     def point_at(i):
         return ts[i // nu], us[i % nu]
 
+    mode = "analytic" if h == 0.0 else "fd"
+    bound = isometry_tolerance(p, params, u_span, t_span, h)
     return (
-        _summarize("|dPhi/du| - 1", np.abs(du_norm - 1.0), point_at),
-        _summarize("|dPhi/dt| - f(u)", np.abs(dt_norm - f), point_at),
+        _summarize("|dPhi/du| - 1 [%s]" % mode, np.abs(du_norm - 1.0), point_at, bound),
+        _summarize("|dPhi/dt| - f(u) [%s]" % mode, np.abs(dt_norm - f), point_at, bound),
     )
 
 
@@ -211,7 +225,8 @@ def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = S
 
 def check_meridian_straightness(p, params, t: float, u_samples) -> ResidualReport:
     """Max perpendicular distance of the sampled meridian image from the
-    straight line through its first and last points."""
+    straight line through its first and last points, bounded by
+    :func:`straightness_tolerance`."""
     us = np.asarray(u_samples, dtype=float)
     if len(us) < 3:
         raise ValueError("straightness check needs at least 3 u-samples")
@@ -219,11 +234,14 @@ def check_meridian_straightness(p, params, t: float, u_samples) -> ResidualRepor
     deviations, chord = meridian_deviation(z)
     if chord < 1e-15:
         raise DegenerateLine("meridian image endpoints coincide at t=%g" % t)
-    return _summarize("meridian image collinearity", deviations, lambda i: (t, u_samples[i]))
+    return _summarize(
+        "meridian image collinearity", deviations, lambda i: (t, u_samples[i]), straightness_tolerance(p, us)
+    )
 
 
 def check_structural_identities(p: QuadraticProfile, u_samples):
-    """Residual reports for the four identities tying f and the turning angle:
+    """Reports, each bounded by STRUCTURAL_BOUND, on the four identities tying
+    f and the turning angle:
 
         f'' = (a')^2 f
         2 f' a' + f a'' = 0          (a'' taken analytically from a' ~ 1/f^2)
@@ -240,14 +258,14 @@ def check_structural_identities(p: QuadraticProfile, u_samples):
         "f' cos a - f a' sin a": fp * np.cos(a) - f * ap * np.sin(a),
         "f' sin a + f a' cos a - sqrt(c)": fp * np.sin(a) + f * ap * np.cos(a) - p.sqrt_c,
     }
-    return [_summarize(name, np.abs(residuals), u_samples.__getitem__) for name, residuals in rows.items()]
+    return [_summarize(name, np.abs(r), u_samples.__getitem__, STRUCTURAL_BOUND) for name, r in rows.items()]
 
 
 def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> ResidualReport:
     """Integrate a'' = -2 (f'/f) a' from closed-form initial conditions at u0
     with classical fixed-step RK4 and report max |a_numeric - a_closed_form|
-    over the grid.  Fixed stepping keeps the global error O(step^4), which
-    the convergence tests rely on.
+    over the grid, bounded by ODE_ORACLE_BOUND.  Fixed stepping keeps the
+    global error O(step^4), which the convergence tests rely on.
 
     The right-hand side is a' times q(u) = -2 f'(u)/f(u), which depends on u
     alone, so q is tabulated once at every node and midpoint
@@ -263,7 +281,7 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
     a, ap = meridian_turning(p, u0)
     n_steps = max(0, math.ceil(abs(u1 - u0) / step))
     if n_steps == 0:
-        return _summarize("a(u): RK4 vs closed form", [0.0], lambda i: float(u0))
+        return _summarize("a(u): RK4 vs closed form", [0.0], lambda i: float(u0), ODE_ORACLE_BOUND)
     h = (u1 - u0) / n_steps
     u = u0 + 0.5 * h * np.arange(2 * n_steps + 1)  # nodes at even j
     f, fp, _ = profile_jet(p, u)
@@ -280,7 +298,29 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
     nodes = u[::2]
     a_exact, _ = meridian_turning(p, nodes)
     errors = np.abs(a_numeric - a_exact)
-    return _summarize("a(u): RK4 vs closed form", errors, lambda i: float(nodes[i]))
+    return _summarize("a(u): RK4 vs closed form", errors, lambda i: float(nodes[i]), ODE_ORACLE_BOUND)
+
+
+def verify_report(p: QuadraticProfile, params: ProjectionParams, grid, fd_step: float, seed):
+    """The ten reports of ``revproj verify`` in print order, on
+    reference_interval(p): isometry on the (nt, nu) grid by central
+    differences of step fd_step, then analytically; the most bent of three
+    meridian images at random angles; the structural identities at 1,000
+    random u; the RK4 oracle at step 1e-3.  The angles are drawn first."""
+    lo, hi = FD_STEP_RANGE
+    if not lo <= fd_step <= hi:  # 0, the analytic mode, would fill the [fd] rows
+        raise ValueError("--fd-step must be within [%g, %g], got %r" % (lo, hi, fd_step))
+    u_span = reference_interval(p)
+    rng = np.random.default_rng(seed)
+    reports = []
+    for h in (fd_step, 0.0):
+        reports += check_local_isometry(p, params, u_span, nt=grid[0], nu=grid[1], fd_step=h)
+    u_line = np.linspace(u_span.lo, u_span.hi, 16)
+    meridians = [check_meridian_straightness(p, params, float(t), u_line) for t in rng.uniform(0.0, 2.0 * math.pi, 3)]
+    reports.append(max(meridians, key=lambda rep: rep.max_abs_residual))  # the first of equals
+    reports += check_structural_identities(p, rng.uniform(u_span.lo, u_span.hi, 1000))
+    reports.append(ode_oracle_a(p, u_span.lo, u_span.hi, step=1e-3))
+    return reports
 
 
 # Built-in profiles exercising both non-existence regimes: positive curvature

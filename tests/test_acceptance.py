@@ -175,7 +175,9 @@ def test_criterion_8_cli_contract(capsys, monkeypatch):
 
     def corrupted(p, u_samples):
         reports = real(p, u_samples)
-        broken = ResidualReport(reports[0].identity_name, 1.0, 1.0, reports[0].worst_point, reports[0].samples)
+        broken = ResidualReport(
+            reports[0].identity_name, 1.0, 1.0, reports[0].worst_point, reports[0].samples, reports[0].bound
+        )
         return [broken] + reports[1:]
 
     monkeypatch.setattr(verifier_mod, "check_structural_identities", corrupted)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import revproj.cli as cli_mod
 import revproj.verifier as verifier_mod
-from revproj import ResidualReport
+from revproj import Branch, ResidualReport, make_projection_params, make_quadratic_profile, verify_report
 from revproj.cli import cli_dispatch
 from helpers import subprocess_env
 
@@ -126,6 +127,7 @@ class TestVerifyCommand:
                 mean_abs_residual=1.0,
                 worst_point=reports[0].worst_point,
                 samples=reports[0].samples,
+                bound=reports[0].bound,
             )
             return [broken] + reports[1:]
 
@@ -133,6 +135,33 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("coeffs, case", [("1,0,1", "a"), ("0.3,-0.2,2", "a"), ("3,1,1", "b")])
+    def test_rows_are_the_library_reports(self, capsys, coeffs, case):
+        c, d, k = coeffs.split(",")
+        code, out, _ = run(capsys, "verify", "--c", c, "--d", d, "--k", k, "--case", case)
+        p = make_quadratic_profile(float(c), float(d), float(k))
+        params = make_projection_params(p, branch=Branch.CASE_A if case == "a" else Branch.CASE_B)
+        reports = verify_report(p, params, (50, 50), 1e-5, 0)
+        rows = out.splitlines()[1:-1]
+        assert [row[:42].rstrip() for row in rows] == [rep.identity_name for rep in reports]
+        assert [row.split()[-2:] for row in rows] == [
+            ["%.0e" % rep.bound, "pass" if rep.passed else "FAIL"] for rep in reports
+        ]
+        assert code == (0 if all(rep.passed for rep in reports) else 1)
+
+    def test_max_equal_to_its_bound_fails(self, capsys, monkeypatch):
+        real = verifier_mod.ode_oracle_a
+
+        def at_bound(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(rep, max_abs_residual=rep.bound)
+
+        monkeypatch.setattr(verifier_mod, "ode_oracle_a", at_bound)
+        code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1")
+        assert code == 1
+        failed = [row.split()[0] for row in out.splitlines() if row.endswith("FAIL")]
+        assert failed == ["a(u):", "overall:"]
 
     @pytest.mark.parametrize("fd_step", ["0", "1e-9", "2e-3"])
     def test_fd_step_outside_range_is_usage_error(self, capsys, fd_step):
@@ -290,6 +319,14 @@ class TestExportCommands:
         assert code == 0
         assert out_path.read_text().startswith("t,u,x,y\n")
         assert "12 rows" in out
+
+    def test_split_message_folds_negative_zero(self, capsys, tmp_path):
+        # u* = -0/(2c) is -0.0 when d = 0
+        code, out, err = run(capsys, "export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u0", "-1", "--u1", "1",
+                             "-o", str(tmp_path / "m.obj"))
+        assert code == 2
+        assert "u*=0 " in err and "[-1, 0)" in err and "(0, 1]" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_io_error_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", "--c", "1", "--d", "0", "--k", "1",

@@ -2,6 +2,8 @@ import csv
 import math
 import os
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -30,6 +32,7 @@ from revproj import (
     project,
     sample_table_csv,
 )
+from helpers import subprocess_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -497,20 +500,33 @@ class TestAtomicWrite:
         def second_writer_first(src, dst):
             temps.append(src)
             if len(temps) == 1:
-                export_mod._atomic_write(dst, "second\n")
+                export_mod._atomic_write(dst, b"second\n")
             real_replace(src, dst)
 
         monkeypatch.setattr(export_mod.os, "replace", second_writer_first)
         target = tmp_path / "out.txt"
-        export_mod._atomic_write(str(target), "first\n")
+        export_mod._atomic_write(str(target), b"first\n")
         assert len(temps) == 2 and temps[0] != temps[1]
         assert all(os.path.dirname(name) == str(tmp_path) for name in temps)
         assert os.listdir(tmp_path) == ["out.txt"]
         assert target.read_text() == "first\n"
 
+    def test_import_leaves_the_umask_alone(self):
+        # setting the umask is process-wide: another thread creating a file
+        # meanwhile would get the temporary mask
+        code = "\n".join([
+            "import os",
+            "def refuse(mask):",
+            "    raise AssertionError('os.umask called')",
+            "os.umask = refuse",
+            "import revproj",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
     def test_written_file_mode_follows_umask(self, tmp_path):
         umask = os.umask(0)
         os.umask(umask)
         target = tmp_path / "mode.txt"
-        export_mod._atomic_write(str(target), "x\n")
+        export_mod._atomic_write(str(target), b"x\n")
         assert target.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -19,7 +19,6 @@ from revproj import (
     jacobian,
     make_projection_params,
     make_quadratic_profile,
-    isometry_tolerance,
     meridian_turning,
     plane_map,
     profile_jet,
@@ -27,6 +26,7 @@ from revproj import (
     reference_interval,
     t_period,
 )
+from revproj.verifier import isometry_tolerance, straightness_tolerance
 
 EPS = np.finfo(float).eps
 ULPS = 8
@@ -139,8 +139,9 @@ def test_isometry_check_matches_loop(case, t0, h):
     tol = ULPS * EPS * max(1.0, p.sqrt_c * scale) if h == 0.0 else ULPS * EPS * scale / h
     for rep, (residuals, points) in zip(reports, isometry_loop(p, params, span, t_span, 7, 6, h)):
         assert_report_matches(rep, residuals, points, tol)
-        # and the residuals stay inside verify's error-model bound
-        assert rep.max_abs_residual < isometry_tolerance(p, params, span, t_span, fd_step=h)
+        # the report carries verify's error-model bound, and stays inside it
+        assert rep.bound == isometry_tolerance(p, params, span, t_span, fd_step=h)
+        assert rep.passed
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,6 +157,7 @@ def test_straightness_check_matches_loop(case, t):
     scale = max(1.0, max(math.hypot(q.x, q.y) for q in pts))
     rep = check_meridian_straightness(p, params, t, u_samples)
     assert_report_matches(rep, deviations, [(t, u) for u in u_samples], ULPS * EPS * scale)
+    assert rep.bound == straightness_tolerance(p, u_samples)
 
 
 @settings(max_examples=40, deadline=None)

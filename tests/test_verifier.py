@@ -11,12 +11,12 @@ from revproj import (
     DomainExceeded,
     DomainInterval,
     GeneralProfile,
+    ResidualReport,
     check_local_isometry,
     check_meridian_straightness,
     check_structural_identities,
     curvature_report,
     existence_classifier,
-    isometry_tolerance,
     make_projection_params,
     make_quadratic_profile,
     meridian_turning,
@@ -26,6 +26,7 @@ from revproj import (
     reference_interval,
     sphere_profile,
 )
+from revproj.verifier import isometry_tolerance, straightness_tolerance
 from helpers import random_profiles
 
 
@@ -58,12 +59,21 @@ class TestLocalIsometry:
             check_local_isometry(p, make_projection_params(p), DomainInterval(0.3, edge), fd_step=1e-5)
 
     def test_stencil_touching_singularity_raises(self, fig1, fig1_params):
-        with pytest.raises(DomainExceeded):
+        # fig1's u* is -0.0, printed as 0
+        with pytest.raises(DomainExceeded, match=r"u\*=0$"):
             check_local_isometry(fig1, fig1_params, DomainInterval(5e-6, 1.0), fd_step=1e-5)
 
     def test_fd_step_range_enforced(self, fig1, fig1_params):
         with pytest.raises(ValueError):
             check_local_isometry(fig1, fig1_params, DomainInterval(0.2, 2.0), fd_step=1e-2)
+
+
+class TestResidualReport:
+    def test_max_equal_to_its_bound_fails(self):
+        rep = ResidualReport("row", 1e-10, 0.0, 0.0, 1, 1e-10)
+        assert not rep.passed
+        assert dataclasses.replace(rep, max_abs_residual=math.nextafter(1e-10, 0.0)).passed
+        assert not dataclasses.replace(rep, max_abs_residual=math.nan).passed
 
 
 class TestIsometryTolerance:
@@ -97,8 +107,10 @@ class TestMeridianStraightness:
             params = make_projection_params(p, c0=0.15)
             span = reference_interval(p)
             t = rng.uniform(0, 2 * math.pi)
-            rep = check_meridian_straightness(p, params, t, np.linspace(span.lo, span.hi, 25))
+            u_samples = np.linspace(span.lo, span.hi, 25)
+            rep = check_meridian_straightness(p, params, t, u_samples)
             assert rep.max_abs_residual < 1e-12
+            assert rep.bound == straightness_tolerance(p, u_samples)
 
     def test_needs_three_samples(self, fig1, fig1_params):
         with pytest.raises(ValueError):
