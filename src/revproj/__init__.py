@@ -62,8 +62,6 @@ from .verifier import (
     curvature_report,
     existence_classifier,
     ode_oracle_a,
-    pseudosphere_profile,
-    sphere_profile,
     verify_report,
 )
 from .cli import cli_dispatch

@@ -127,7 +127,7 @@ def _load_csv_profile(path):
 def _resolve_profile_arg(text):
     """The GeneralProfile a --profile argument names."""
     if text in verifier.BUILTIN_PROFILES:
-        return verifier.BUILTIN_PROFILES[text]()
+        return verifier.BUILTIN_PROFILES[text]
     if text.startswith("quadratic:"):
         try:
             c, d, k = (float(v) for v in text[len("quadratic:"):].split(","))

@@ -72,12 +72,17 @@ def _fmt(values) -> list:
     """``repr(float(v))`` for every element of ``values``, row-major.  Each
     distinct magnitude (64-bit pattern with the sign bit cleared) is
     formatted once, and a value with the sign bit set reads ``"-"`` before
-    its magnitude's text: so 0.0 and -0.0 print apart, x and -x share one
-    ``repr``, and a NaN prints ``nan`` whatever its sign bit."""
+    its magnitude's text: so 0.0 and -0.0 print apart and x and -x share
+    one ``repr``.  Every emitted number passes through here before its file
+    is opened, so a NaN or an infinity raises ValueError and no file is
+    written."""
     values = np.asarray(values, dtype=float).ravel()
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError("cannot write the non-finite value %r" % float(values[np.argmin(finite)]))
     magnitudes, inverse = np.unique(values.view(np.uint64) & np.uint64(2**63 - 1), return_inverse=True)
     text = list(map(repr, magnitudes.view(np.float64).tolist()))
-    text = np.array(text + ["-" + s if s != "nan" else s for s in text], dtype=object)
+    text = np.array(text + ["-" + s for s in text], dtype=object)
     return text[inverse + len(magnitudes) * np.signbit(values)].tolist()
 
 

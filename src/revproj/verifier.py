@@ -24,7 +24,6 @@ from .profile import (
     DomainInterval,
     GeneralProfile,
     QuadraticProfile,
-    gaussian_curvature,
     profile_jet,
     reference_interval,
     slope_feasible_span,
@@ -81,22 +80,26 @@ class ExistenceVerdict:
 
     ``gate`` names the check that decided: ``residual``, ``coefficients``
     or ``u_star_inside`` for the first one that rejected, ``admissible``
-    when the map exists.  ``misfit`` is max|f^2 - fit|/|c_x|, the
-    dimensionless distance of f^2 from its quadratic fit, which the
-    residual gate bounds by the threshold.  ``fitted`` holds the
-    least-squares (c, d, k) when the misfit passed, whether or not the
-    coefficients turned out admissible.  ``residual_sup`` =
-    sup|(f f')''| over the samples, attained at ``worst_u``, is a
-    diagnostic in the profile's units and decides nothing.
+    when the map exists, which is all ``exists`` reads.  ``misfit`` is
+    max|f^2 - fit|/|c_x|, the dimensionless distance of f^2 from its
+    quadratic fit, which the residual gate bounds by the threshold.
+    ``fitted`` holds the least-squares (c, d, k) when the misfit passed,
+    whether or not the coefficients turned out admissible.
+    ``residual_sup`` = sup|(f f')''| over the samples, attained at
+    ``worst_u``, is a diagnostic in the profile's units and decides
+    nothing.
     """
 
-    exists: bool
     gate: str
     misfit: float
     fitted: Optional[Tuple[float, float, float]]
     curvature_range: Tuple[float, float]
     residual_sup: float
     worst_u: float
+
+    @property
+    def exists(self) -> bool:
+        return self.gate == "admissible"
 
 
 def _summarize(name, residuals, point_at, bound):
@@ -326,17 +329,9 @@ def verify_report(p: QuadraticProfile, params: ProjectionParams, grid, fd_step: 
 # Built-in profiles exercising both non-existence regimes: positive curvature
 # (unit sphere, f = cos u) and constant negative curvature (pseudosphere,
 # f = e^u for u < 0).
-def sphere_profile() -> GeneralProfile:
-    return GeneralProfile(evaluator=math.cos, domain=DomainInterval(0.2, 1.2))
-
-
-def pseudosphere_profile() -> GeneralProfile:
-    return GeneralProfile(evaluator=math.exp, domain=DomainInterval(-2.0, -0.5))
-
-
 BUILTIN_PROFILES = {
-    "sphere": sphere_profile,
-    "pseudosphere": pseudosphere_profile,
+    "sphere": GeneralProfile(evaluator=math.cos, domain=DomainInterval(0.2, 1.2)),
+    "pseudosphere": GeneralProfile(evaluator=math.exp, domain=DomainInterval(-2.0, -0.5)),
 }
 
 
@@ -384,7 +379,7 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
     bend = 3.0 * np.abs(bend)
     worst = int(np.argmax(bend))
     diagnostics = {"residual_sup": float(bend[worst]), "worst_u": float(0.5 * (us[worst] + us[worst + 3]))}
-    curvature_range = curvature_report(gp, gp.domain, 101)[:2]
+    curvature_range = curvature_report(gp)
 
     x = (us - lo) / width
     fit = np.polyfit(x, f_sq, 2)
@@ -393,7 +388,7 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
     misfit = gap / abs(c_x) if c_x else math.inf
     scale = float(np.max(f_sq))
     if gap >= threshold * abs(c_x) + CLASSIFIER_ROUNDING_FLOOR * np.finfo(float).eps * scale:
-        return ExistenceVerdict(False, "residual", misfit, None, curvature_range, **diagnostics)
+        return ExistenceVerdict("residual", misfit, None, curvature_range, **diagnostics)
 
     t = -lo / width  # x at u = 0
     fitted = (c_x / width**2, (2.0 * c_x * t + d_x) / width, (c_x * t + d_x) * t + k_x)
@@ -403,7 +398,7 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
         gate = "u_star_inside"
     else:
         gate = "admissible"
-    return ExistenceVerdict(gate == "admissible", gate, misfit, fitted, curvature_range, **diagnostics)
+    return ExistenceVerdict(gate, misfit, fitted, curvature_range, **diagnostics)
 
 
 def _row_curvature(u, f):
@@ -428,27 +423,21 @@ def _row_curvature(u, f):
     return w1 * w1 / (4.0 * w * w) - w2 / (2.0 * w)
 
 
-def curvature_report(p_or_gp, interval: DomainInterval, n: int = 100):
-    """(K_min, K_max, all_negative).
+def curvature_report(gp: GeneralProfile):
+    """(K_min, K_max) of the profile over its domain.
 
-    * QuadraticProfile: the closed form at n points of ``interval``.
-    * GeneralProfile with a table: ``_row_curvature`` at the table's
-      interior rows; ``interval`` and n do not apply.
-    * GeneralProfile with a callable: K = -f''/f at n points of
-      ``interval``, with f'' from the fourth-order five-point stencil
-      (O(h^2) differences cannot reach ~1e-10) at step W/200, W the
-      interval width, so that K W^2 does not move under u -> lambda u,
-      f -> lambda f; samples are inset by the stencil width.
+    * A table: ``_row_curvature`` at its interior rows.
+    * A callable: K = -f''/f at 101 points of the domain, with f'' from
+      the fourth-order five-point stencil (O(h^2) differences cannot reach
+      ~1e-10) at step W/200, W the domain width, so that K W^2 does not
+      move under u -> lambda u, f -> lambda f; samples are inset by the
+      stencil width.
     """
-    if isinstance(p_or_gp, QuadraticProfile):
-        us = np.linspace(interval.lo, interval.hi, n)
-        ks = gaussian_curvature(p_or_gp, us)
-    elif p_or_gp.table is not None:
-        ks = _row_curvature(*p_or_gp.table)
+    if gp.table is not None:
+        ks = _row_curvature(*gp.table)
     else:
-        h = interval.width / 200.0
-        us = np.linspace(interval.lo + 2 * h, interval.hi - 2 * h, n)
-        f = np.array([[p_or_gp.evaluator(u + j * h) for u in us] for j in (2, 1, 0, -1, -2)])
+        h = gp.domain.width / 200.0
+        us = np.linspace(gp.domain.lo + 2 * h, gp.domain.hi - 2 * h, 101)
+        f = np.array([[gp.evaluator(u + j * h) for u in us] for j in (2, 1, 0, -1, -2)])
         ks = -((-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)) / f[2]
-    k_min, k_max = float(np.min(ks)), float(np.max(ks))
-    return k_min, k_max, k_max < 0.0
+    return float(np.min(ks)), float(np.max(ks))

@@ -189,6 +189,21 @@ class TestClassifyCommand:
         assert "exists: true" in out
         assert "fitted:" in out
 
+    @pytest.mark.parametrize("profile, expected", [
+        ("sphere", "exists: false\ngate: residual\nmisfit: 0.195196\ncurvature_range: [1, 1]\n"),
+        ("pseudosphere", "exists: false\ngate: residual\nmisfit: 0.0592\ncurvature_range: [-1, -1]\n"),
+    ])
+    def test_builtin_output(self, capsys, profile, expected):
+        assert run(capsys, "classify", "--profile", profile) == (1, expected, "")
+
+    def test_quadratic_output(self, capsys):
+        # its misfit and fitted d are rounding noise, so only these lines are pinned
+        code, out, _ = run(capsys, "classify", "--profile", "quadratic:1,0,1")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[:2] == ["exists: true", "gate: admissible"]
+        assert lines[-1] == "curvature_range: [-0.911322, -0.041172]"
+
     def test_output_lines(self, capsys):
         _, out, _ = run(capsys, "classify", "--profile", "sphere")
         assert [line.split(":")[0] for line in out.splitlines()] == ["exists", "gate", "misfit", "curvature_range"]
@@ -326,6 +341,20 @@ class TestExportCommands:
                              "-o", str(tmp_path / "m.obj"))
         assert code == 2
         assert "u*=0 " in err and "[-1, 0)" in err and "(0, 1]" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--c", "1", "--d", "0", "--k", "1", "--t0", "-1e308", "--t1", "1e308"),
+        ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u-ref", "1e200"),
+        ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u1", "1e200"),
+    ])
+    def test_non_finite_output_writes_nothing(self, capsys, tmp_path, argv):
+        # finite flags whose coordinates or heights overflow: neither the
+        # file nor its temporary is left behind
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, *argv, "-o", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert "finite" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_io_error_exit_code(self, capsys, tmp_path):

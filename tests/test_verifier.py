@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revproj import (
+    BUILTIN_PROFILES,
     DegenerateLine,
     DomainExceeded,
     DomainInterval,
+    ExistenceVerdict,
     GeneralProfile,
     ResidualReport,
     check_local_isometry,
@@ -17,14 +19,13 @@ from revproj import (
     check_structural_identities,
     curvature_report,
     existence_classifier,
+    gaussian_curvature,
     make_projection_params,
     make_quadratic_profile,
     meridian_turning,
     ode_oracle_a,
     profile_jet,
-    pseudosphere_profile,
     reference_interval,
-    sphere_profile,
 )
 from revproj.verifier import isometry_tolerance, straightness_tolerance
 from helpers import random_profiles
@@ -245,7 +246,7 @@ HOMOTHETY_CASES = [
 
 class TestExistenceClassifier:
     def test_sphere_profile_rejected(self):
-        verdict = existence_classifier(sphere_profile())
+        verdict = existence_classifier(BUILTIN_PROFILES["sphere"])
         assert not verdict.exists
         assert verdict.fitted is None
         # (f f')'' = 2 sin 2u peaks at 2 near u = pi/4
@@ -254,7 +255,7 @@ class TestExistenceClassifier:
         assert verdict.curvature_range == pytest.approx((1.0, 1.0), abs=1e-6)
 
     def test_pseudosphere_profile_rejected(self):
-        verdict = existence_classifier(pseudosphere_profile())
+        verdict = existence_classifier(BUILTIN_PROFILES["pseudosphere"])
         assert not verdict.exists
         # (f f')'' = 4 e^{2u}, increasing, so the sup sits at the largest
         # interior sample just below u = -0.5
@@ -293,10 +294,10 @@ class TestExistenceClassifier:
     def test_threshold_bounds_the_misfit(self):
         # the sphere's misfit sits far above the rounding floor, so the
         # threshold alone moves the residual gate across it
-        misfit = existence_classifier(sphere_profile()).misfit
-        assert existence_classifier(sphere_profile(), threshold=0.99 * misfit).gate == "residual"
+        misfit = existence_classifier(BUILTIN_PROFILES["sphere"]).misfit
+        assert existence_classifier(BUILTIN_PROFILES["sphere"], threshold=0.99 * misfit).gate == "residual"
         # past the residual gate, c < 0 rejects
-        assert existence_classifier(sphere_profile(), threshold=1.01 * misfit).gate == "coefficients"
+        assert existence_classifier(BUILTIN_PROFILES["sphere"], threshold=1.01 * misfit).gate == "coefficients"
 
     def test_round_trip_recovers_coefficients(self):
         for p in random_profiles(23, 20):
@@ -310,7 +311,7 @@ class TestExistenceClassifier:
             assert abs(k - p.k) <= 1e-6 * abs(p.k)
 
     def test_verdict_invariant_under_resampling(self):
-        for gp in (sphere_profile(), pseudosphere_profile(),
+        for gp in (BUILTIN_PROFILES["sphere"], BUILTIN_PROFILES["pseudosphere"],
                    GeneralProfile(lambda u: math.sqrt(u * u + 1.0), DomainInterval(0.2, 2.0))):
             v1 = existence_classifier(gp, n_samples=150)
             v2 = existence_classifier(gp, n_samples=300)
@@ -345,31 +346,40 @@ class TestExistenceClassifier:
                    GeneralProfile.from_table(sphere, np.cos(sphere))):
             guarded = dataclasses.replace(gp, evaluator=refuse)
             assert existence_classifier(guarded) == existence_classifier(gp)
-            assert curvature_report(guarded, guarded.domain) == curvature_report(gp, gp.domain)
+            assert curvature_report(guarded) == curvature_report(gp)
+
+    def test_verdict_fields(self):
+        # exists is read from gate, not stored beside it
+        assert [f.name for f in dataclasses.fields(ExistenceVerdict)] == [
+            "gate", "misfit", "fitted", "curvature_range", "residual_sup", "worst_u"]
+        for gate in ("residual", "coefficients", "u_star_inside", "admissible"):
+            verdict = ExistenceVerdict(gate, 0.0, None, (-1.0, -1.0), 0.0, 0.0)
+            assert verdict.exists == (gate == "admissible")
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
-            existence_classifier(sphere_profile(), n_samples=5)
+            existence_classifier(BUILTIN_PROFILES["sphere"], n_samples=5)
 
 
 class TestCurvatureReport:
     def test_quadratic_profile_range(self, fig1):
-        k_min, k_max, all_negative = curvature_report(fig1, DomainInterval(0.1, 2.0), 100)
+        ks = gaussian_curvature(fig1, np.linspace(0.1, 2.0, 100))
+        k_min, k_max = float(np.min(ks)), float(np.max(ks))
         assert k_min == pytest.approx(-1.0 / 1.01**2, abs=1e-12)
         assert k_max == pytest.approx(-0.04, abs=1e-12)
-        assert all_negative
+        assert k_max < 0.0
 
     def test_sphere_is_unit_positive(self):
-        k_min, k_max, all_negative = curvature_report(sphere_profile(), DomainInterval(0.2, 1.2), 100)
+        k_min, k_max = curvature_report(BUILTIN_PROFILES["sphere"])
         assert k_min == pytest.approx(1.0, abs=1e-9)
         assert k_max == pytest.approx(1.0, abs=1e-9)
-        assert not all_negative
+        assert not k_max < 0.0
 
     @pytest.mark.parametrize("lam", [1e-2, 0.3, 1.0, 50.0, 1e3])
     def test_scaled_sphere_curvature(self, lam):
         # f = lam cos(u/lam) is the sphere of radius lam: K lam^2 = 1 at every scale
         gp = GeneralProfile(lambda u: lam * math.cos(u / lam), DomainInterval(0.2 * lam, 1.2 * lam))
-        k_min, k_max, _ = curvature_report(gp, gp.domain, 100)
+        k_min, k_max = curvature_report(gp)
         assert abs(k_min * lam * lam - 1.0) < 1e-8
         assert abs(k_max * lam * lam - 1.0) < 1e-8
 
@@ -381,7 +391,7 @@ class TestCurvatureReport:
         # 41 rows: each 5-row quadratic of f^2 misses its O(h^2) terms
         u = np.linspace(lo, hi, 41)
         gp = GeneralProfile.from_table(u, f(u))
-        k_min, k_max, _ = curvature_report(gp, gp.domain)
+        k_min, k_max = curvature_report(gp)
         assert (k_min, k_max) == pytest.approx(k_range, abs=1e-5)
 
     @settings(max_examples=200, deadline=None)
@@ -404,20 +414,18 @@ class TestCurvatureReport:
         f_sq = c * (u - u_star) ** 2 + m
         truth = -c * m / f_sq[2:-2] ** 2
         f = np.sqrt(f_sq)
-        k_min, k_max, all_negative = curvature_report(GeneralProfile.from_table(u, f), None)
-        assert all_negative
+        k_min, k_max = curvature_report(GeneralProfile.from_table(u, f))
+        assert k_max < 0.0
         assert abs(k_min / truth.min() - 1.0) < 1e-9 and abs(k_max / truth.max() - 1.0) < 1e-9
         # u -> lam u, f -> lam f: K lam^2 does not move
         lam = 10.0**log_lam
-        scaled_min, scaled_max, _ = curvature_report(GeneralProfile.from_table(lam * u, lam * f), None)
+        scaled_min, scaled_max = curvature_report(GeneralProfile.from_table(lam * u, lam * f))
         assert abs(scaled_min * lam * lam / k_min - 1.0) < 1e-9
         assert abs(scaled_max * lam * lam / k_max - 1.0) < 1e-9
 
     def test_always_negative_for_admissible_profiles(self):
         p = make_quadratic_profile(1, 1, 1)
-        _, _, all_negative = curvature_report(p, DomainInterval(0.0, 1.0), 50)
-        assert all_negative
+        assert np.max(gaussian_curvature(p, np.linspace(0.0, 1.0, 50))) < 0.0
         for p in random_profiles(29, 10):
             span = reference_interval(p)
-            _, _, all_negative = curvature_report(p, span, 40)
-            assert all_negative
+            assert np.max(gaussian_curvature(p, np.linspace(span.lo, span.hi, 40))) < 0.0
