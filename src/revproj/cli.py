@@ -243,7 +243,8 @@ def _build_parser():
     sp.add_argument("--u-div", type=int, default=32)
     sp.add_argument("--u0", type=_finite_float, default=0.05)
     sp.add_argument("--u1", type=_finite_float, default=2.0)
-    sp.add_argument("--u-ref", type=_finite_float, default=None, help="height anchor; defaults to u0")
+    sp.add_argument("--u-ref", type=_finite_float, default=None,
+                    help="height anchor; defaults to the lower end of the admissible u-window, u0 after clipping")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_export_mesh)
 

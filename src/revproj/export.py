@@ -2,12 +2,13 @@
 Wavefront OBJ, and coordinate sample tables as CSV.
 
 All writes are atomic (temp file + rename) and numeric fields use the
-shortest round-trip representation so emitted files re-ingest losslessly.
-Each distinct magnitude (64-bit pattern less its sign bit) of a file is
-formatted once, and a negative field is "-" and its magnitude's text.  The
-text fields are filled in with one %-format of a repeated row template, and
-the mesh's face block is assembled as bytes from a table of digits.  The
-bytes are those of formatting every field on its own.
+shortest round-trip representation so emitted files re-ingest losslessly:
+each field is one ``repr``.  The SVG and CSV text is filled in with one
+%-format of a repeated row template.  The mesh formats each of its rings'
+magnitude rows |cos t| f and |sin t| f and each height once, joins every
+ring from those shared pieces with the signs put in front, and assembles
+its face block as bytes from a table of digits.  The bytes are those of
+formatting every field on its own.
 """
 
 from __future__ import annotations
@@ -69,21 +70,14 @@ class MeshSpec:
 
 
 def _fmt(values) -> list:
-    """``repr(float(v))`` for every element of ``values``, row-major.  Each
-    distinct magnitude (64-bit pattern with the sign bit cleared) is
-    formatted once, and a value with the sign bit set reads ``"-"`` before
-    its magnitude's text: so 0.0 and -0.0 print apart and x and -x share
-    one ``repr``.  Every emitted number passes through here before its file
-    is opened, so a NaN or an infinity raises ValueError and no file is
-    written."""
+    """``repr(float(v))`` for every element of ``values``, row-major.  Every
+    emitted number passes through here before its file is opened, so a NaN
+    or an infinity raises ValueError and no file is written."""
     values = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError("cannot write the non-finite value %r" % float(values[np.argmin(finite)]))
-    magnitudes, inverse = np.unique(values.view(np.uint64) & np.uint64(2**63 - 1), return_inverse=True)
-    text = list(map(repr, magnitudes.view(np.float64).tolist()))
-    text = np.array(text + ["-" + s for s in text], dtype=object)
-    return text[inverse + len(magnitudes) * np.signbit(values)].tolist()
+    return list(map(repr, values.tolist()))
 
 
 def _unit_circle(n: int):
@@ -221,19 +215,38 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     radii = profile_jet(p, u_values)[0]
     heights = eval_g(p, u_values, spec.u_ref)
 
-    cos_t, sin_t = _unit_circle(nt)
-    xs = np.multiply.outer(cos_t, radii)
-    ys = np.multiply.outer(sin_t, radii)
-    xyz = np.stack([xs, ys, np.broadcast_to(heights, xs.shape)], axis=-1)
-    vertices = (("v %s %s %s\n" * (nt * nu)) % tuple(_fmt(xyz))).encode("ascii")
-
-    # 1-based ids of vertex (i, j) and of its neighbour (i + 1 mod nt, j)
+    # 1-based ids of vertex (i, j) and of its neighbour (i + 1 mod nt, j);
+    # the face block is built first and its quads dropped, so they are not
+    # held beside the vertex text
     here = np.arange(nt)[:, None] * nu + np.arange(1, nu)[None, :]
     ahead = np.roll(here, -1, axis=0)
-    quads = np.stack([here, ahead, ahead + 1, here + 1], axis=-1)
-    faces = _face_block(quads.reshape(-1, 4), nt * nu)
+    faces = _face_block(np.stack([here, ahead, ahead + 1, here + 1], axis=-1).reshape(-1, 4), nt * nu)
 
-    _atomic_write(path, vertices + faces)
+    # x and y of ring i are +-|cos t_i| radii and +-|sin t_i| radii.  The
+    # radii are square roots, so >= 0 (a NaN is refused by _fmt), and
+    # (-a) * r == -(a * r) bit for bit: a negative field's text is "-" and
+    # its magnitude's.  _unit_circle reads no -0.0, so a zero is unsigned.
+    cos_t, sin_t = _unit_circle(nt)
+    mags = sorted(set(map(abs, cos_t + sin_t)))
+    text = _fmt(np.multiply.outer(mags, radii))
+    rows = {m: text[k * nu:(k + 1) * nu] for k, m in enumerate(mags)}
+    z_text = _fmt(heights)
+    # each vertex is four pieces: x, the separator and sign of y, y, and
+    # the height with the next line's "v " and sign of x
+    y_signs = ([" "] * nu, [" -"] * nu)
+    tails = ([" %s\nv " % z for z in z_text], [" %s\nv -" % z for z in z_text])
+    chunks = [b"v "]  # ring 0 lies at t = 0, where x = f is not negative
+    ring = [""] * (4 * nu)
+    for i, (c, s) in enumerate(zip(cos_t, sin_t)):
+        ring[0::4] = rows[abs(c)]
+        ring[1::4] = y_signs[s < 0]
+        ring[2::4] = rows[abs(s)]
+        ring[3::4] = tails[c < 0]
+        ring[-1] = tails[cos_t[i + 1] < 0][-1] if i + 1 < nt else " %s\n" % z_text[-1]
+        chunks.append("".join(ring).encode("ascii"))
+
+    chunks.append(faces)
+    _atomic_write(path, b"".join(chunks))
     return {"path": path, "vertices": nt * nu, "faces": nt * (nu - 1)}
 
 

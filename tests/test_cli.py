@@ -327,6 +327,15 @@ class TestExportCommands:
         assert code == 0
         assert "2048 vertices" in out
 
+    def test_mesh_anchors_at_clipped_lower_end(self, capsys, tmp_path):
+        # f'(0) = 0 is u* for d = 0, so u0 = 0 is clipped to just above it:
+        # the default anchor is the clipped end, where the height reads 0.0
+        out_path = tmp_path / "m.obj"
+        code, _, err = run(capsys, "export-mesh", "--c", "3", "--d", "0", "--k", "1", "--u0", "0", "--u1", "0.3",
+                           "-o", str(out_path))
+        assert code == 0, err
+        assert out_path.read_text().splitlines()[0] == "v 1.0 0.0 0.0"
+
     def test_table(self, capsys, tmp_path):
         out_path = tmp_path / "t.csv"
         code, out, _ = run(capsys, "table", "--c", "1", "--d", "0", "--k", "1",

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -32,6 +33,7 @@ from revproj import (
     project,
     sample_table_csv,
 )
+from revproj.profile import slope_feasible_span
 from helpers import subprocess_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -354,6 +356,45 @@ class TestMeshObj:
         path = tmp_path / "mesh.obj"
         export_mesh_obj(p, spec, str(path))
         assert path.read_bytes() == _per_vertex_obj(p, spec).encode()
+
+    # windows on either side of u* inside the slope-feasible span, anchored
+    # anywhere in them (at hi every height is <= 0, below u* all of them
+    # may be), and ring counts that put the circle's sign changes on and
+    # between rings: odd, or not a multiple of 4 or 8
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.floats(0.1, 4.0), k=st.floats(0.1, 4.0), skew=st.floats(-0.999, 0.999), below=st.booleans(),
+           ends=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)).filter(lambda e: abs(e[0] - e[1]) >= 0.02),
+           from_hi=st.floats(0.0, 1.0), nt=st.integers(3, 300), nu=st.integers(3, 40))
+    @example(c=0.3, k=2.0, skew=0.1, below=True, ends=(0.1, 0.9), from_hi=0.0, nt=101, nu=33)
+    @example(c=0.3, k=2.0, skew=0.1, below=False, ends=(0.1, 0.9), from_hi=0.0, nt=6, nu=3)
+    @example(c=2.5, k=0.6, skew=-0.5, below=True, ends=(0.2, 0.8), from_hi=0.0, nt=12, nu=5)
+    @example(c=2.5, k=0.6, skew=-0.5, below=False, ends=(0.2, 0.8), from_hi=0.0, nt=7, nu=40)
+    def test_bytes_match_per_vertex_loop_either_side_of_u_star(self, tmp_path_factory, c, k, skew, below, ends,
+                                                               from_hi, nt, nu):
+        p = make_quadratic_profile(c, skew * 2.0 * math.sqrt(0.9 * c * k), k)
+        us = p.singular_u
+        half = min(slope_feasible_span(p)[1] - us, 3.0)
+        near, far = sorted(ends)
+        lo, hi = (us - far * half, us - near * half) if below else (us + near * half, us + far * half)
+        spec = MeshSpec(nt, nu, DomainInterval(lo, hi), hi - from_hi * (hi - lo))
+        path = tmp_path_factory.mktemp("mesh") / "mesh.obj"
+        export_mesh_obj(p, spec, str(path))
+        assert path.read_bytes() == _per_vertex_obj(p, spec).encode()
+
+    def test_writer_peak_memory_below_three_file_sizes(self, tmp_path):
+        # the second call, so nothing built once per process counts; the
+        # bound scales with the file, which the writer holds as bytes once
+        p = make_quadratic_profile(0.6, 0.3, 1.5)
+        spec = MeshSpec(192, 96, DomainInterval(0.05, 2.0), 0.05)
+        path = tmp_path / "mesh.obj"
+        export_mesh_obj(p, spec, str(path))
+        tracemalloc.start()
+        try:
+            export_mesh_obj(p, spec, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
 
     # vertex counts at or on either side of each power of ten up to 100,000, so
     # the largest id has each width from 1 to 6 digits
