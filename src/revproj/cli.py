@@ -212,7 +212,7 @@ def _build_parser():
     _add_params_flags(sp)
     sp.add_argument("--grid", type=_parse_grid, default=(50, 50), help="NTxNU sample grid")
     sp.add_argument("--fd-step", type=_finite_float, default=1e-5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help="picks the start frac(seed phi) of the golden-ratio draws")
     sp.set_defaults(handler=_cmd_verify)
 
     sp = sub.add_parser("classify", help="existence verdict for an arbitrary profile")

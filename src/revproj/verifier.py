@@ -47,6 +47,13 @@ STRAIGHTNESS_UNIT_BOUND = 1e-12
 FD_STEP_RANGE = (1e-8, 1e-3)
 STRUCTURAL_BOUND = 1e-10  # fixed bounds of the structural identities
 ODE_ORACLE_BOUND = 1e-8  # and of the RK4 oracle, which have no error model
+# A meridian image's chord below this many eps times the term scale is
+# rounding: each endpoint rounds to a few eps of that scale, so the chord
+# gives no direction to measure the deviations against.
+CHORD_FLOOR_ULPS = 8.0
+# (sqrt(5) - 1)/2: frac(s + i phi) is the additive (Kronecker) sequence
+# verify_report draws its angles and abscissae from.
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The classifier's bound on max|f^2 - fit| for an exact quadratic, in units
 # of eps max f^2.  A sample of f good to about an ulp gives f^2 to ~2.5 eps;
 # the least-squares residual maps that error through I - P (P the projector
@@ -106,11 +113,12 @@ def _summarize(name, residuals, point_at, bound):
     """Report over a residual array; ``point_at(i)`` names the sample at
     flat index i, so only the worst point is ever built."""
     residuals = np.asarray(residuals, dtype=float)
-    worst = int(np.argmax(residuals))
+    worst = int(residuals.argmax())
     return ResidualReport(
         identity_name=name,
         max_abs_residual=float(residuals.flat[worst]),
-        mean_abs_residual=float(residuals.mean()),
+        # ndarray.mean's own sum and division, without its Python layers
+        mean_abs_residual=float(np.add.reduce(residuals, axis=None) / residuals.size),
         worst_point=point_at(worst),
         samples=residuals.size,
         bound=bound,
@@ -210,6 +218,11 @@ def meridian_deviation(z):
     return np.abs(((z - z[..., :1]) * direction).imag), length[..., 0]
 
 
+def _term_scale(p: QuadraticProfile, us) -> float:
+    """max|u| + 2|w0| over the samples us, the size of the two terms of Phi."""
+    return float(np.max(np.abs(us))) + 2.0 * p.w0_modulus
+
+
 def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = STRAIGHTNESS_UNIT_BOUND) -> float:
     """Bound on the deviations of :func:`meridian_deviation` over meridian
     images sampled at u_samples: unit_bound times max(1, scale), with
@@ -223,23 +236,34 @@ def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = S
     are a few eps * scale.  max|Phi| alone would under-count where Phi is a
     small difference of two large terms.
     """
-    return unit_bound * max(1.0, float(np.max(np.abs(u_samples))) + 2.0 * p.w0_modulus)
+    return unit_bound * max(1.0, _term_scale(p, u_samples))
 
 
-def check_meridian_straightness(p, params, t: float, u_samples) -> ResidualReport:
-    """Max perpendicular distance of the sampled meridian image from the
+def check_meridian_straightness(p, params, t, u_samples) -> ResidualReport:
+    """Max perpendicular distance of a sampled meridian image from the
     straight line through its first and last points, bounded by
-    :func:`straightness_tolerance`."""
+    :func:`straightness_tolerance`.
+
+    t is one angle or a 1-D array of angles; all their meridians are mapped
+    in one kernel call, and the report is the most bent one's (the first
+    of equals), field for field the report of a call at that angle alone.
+    Its worst point is (t, u), with t as given when it is one angle.
+    Raises DegenerateLine, naming the first such angle, when a chord is
+    below CHORD_FLOOR_ULPS eps times the term scale max|u| + 2|w0|.
+    """
     us = np.asarray(u_samples, dtype=float)
     if len(us) < 3:
         raise ValueError("straightness check needs at least 3 u-samples")
-    z, _, _ = plane_map(p, params, t, us)
+    ts = np.asarray(t, dtype=float).reshape(-1)
+    z, _, _ = plane_map(p, params, ts[:, None], us)
     deviations, chord = meridian_deviation(z)
-    if chord < 1e-15:
-        raise DegenerateLine("meridian image endpoints coincide at t=%g" % t)
-    return _summarize(
-        "meridian image collinearity", deviations, lambda i: (t, u_samples[i]), straightness_tolerance(p, us)
-    )
+    short = chord < CHORD_FLOOR_ULPS * np.finfo(float).eps * _term_scale(p, us)
+    if short.any():
+        raise DegenerateLine("meridian image endpoints coincide at t=%g" % ts[short.argmax()])
+    row = int(deviations.max(axis=1).argmax())
+    t_row = ts[row] if np.ndim(t) else t
+    bound = straightness_tolerance(p, us)
+    return _summarize("meridian image collinearity", deviations[row], lambda i: (t_row, u_samples[i]), bound)
 
 
 def check_structural_identities(p: QuadraticProfile, u_samples):
@@ -255,11 +279,12 @@ def check_structural_identities(p: QuadraticProfile, u_samples):
     f, fp, fpp = profile_jet(p, us)
     a, ap = meridian_turning(p, us)
     app = -p.sqrt_neg_delta * fp / (f * f * f)
+    cos_a, sin_a = np.cos(a), np.sin(a)
     rows = {
         "f'' - (a')^2 f": fpp - ap * ap * f,
         "2 f' a' + f a''": 2.0 * fp * ap + f * app,
-        "f' cos a - f a' sin a": fp * np.cos(a) - f * ap * np.sin(a),
-        "f' sin a + f a' cos a - sqrt(c)": fp * np.sin(a) + f * ap * np.cos(a) - p.sqrt_c,
+        "f' cos a - f a' sin a": fp * cos_a - f * ap * sin_a,
+        "f' sin a + f a' cos a - sqrt(c)": fp * sin_a + f * ap * cos_a - p.sqrt_c,
     }
     return [_summarize(name, np.abs(r), u_samples.__getitem__, STRUCTURAL_BOUND) for name, r in rows.items()]
 
@@ -270,14 +295,14 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
     over the grid, bounded by ODE_ORACLE_BOUND.  Fixed stepping keeps the
     global error O(step^4), which the convergence tests rely on.
 
-    The right-hand side is a' times q(u) = -2 f'(u)/f(u), which depends on u
-    alone, so q is tabulated once at every node and midpoint
-    u0 + (h/2) j, j = 0..2n.  a itself never enters a stage and a' enters
-    every stage linearly, so each RK4 step is a pair of amplification
+    The right-hand side is a' times q(u) = -2 f'(u)/f(u) = -((f^2)'/f)/f,
+    which depends on u alone, so q is tabulated once at every node and
+    midpoint u0 + (h/2) j, j = 0..2n.  a itself never enters a stage and a'
+    enters every stage linearly, so each RK4 step is a pair of amplification
     factors, a'_{i+1} = m_i a'_i and a_{i+1} = a_i + n_i a'_i, and the whole
-    grid is one cumulative product and one cumulative sum.  Only f, f' and
-    the initial conditions at u0 enter it, so it stays independent of the
-    closed form it is compared against."""
+    grid is one cumulative product and one cumulative sum.  Only f, the
+    derivative of f^2 and the initial conditions at u0 enter it, so it
+    stays independent of the closed form it is compared against."""
     if step <= 0 or step > 1e-2:
         raise ValueError("step must be positive and at most 1e-2")
 
@@ -287,8 +312,8 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
         return _summarize("a(u): RK4 vs closed form", [0.0], lambda i: float(u0), ODE_ORACLE_BOUND)
     h = (u1 - u0) / n_steps
     u = u0 + 0.5 * h * np.arange(2 * n_steps + 1)  # nodes at even j
-    f, fp, _ = profile_jet(p, u)
-    q = -2.0 * fp / f
+    f = np.sqrt(p.radius_sq(u))
+    q = -((2.0 * p.c * u + p.d) / f) / f  # -2 f'/f, f' = (f^2)'/(2f), to the bit
     q0, q_mid, q1 = q[:-1:2], q[1::2], q[2::2]
     # the stage values of a' over a'_i; the stage slopes of a' are q times them
     s2 = 1.0 + 0.5 * h * q0
@@ -304,24 +329,33 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
     return _summarize("a(u): RK4 vs closed form", errors, lambda i: float(nodes[i]), ODE_ORACLE_BOUND)
 
 
+def _golden_draws(seed: int, n: int):
+    """frac(s + i phi) for i = 1..n, s = frac(seed phi): n points of the
+    golden-ratio additive sequence, equidistributed in [0, 1)."""
+    return np.mod(seed * GOLDEN % 1.0 + GOLDEN * np.arange(1, n + 1), 1.0)
+
+
 def verify_report(p: QuadraticProfile, params: ProjectionParams, grid, fd_step: float, seed):
     """The ten reports of ``revproj verify`` in print order, on
     reference_interval(p): isometry on the (nt, nu) grid by central
     differences of step fd_step, then analytically; the most bent of three
-    meridian images at random angles; the structural identities at 1,000
-    random u; the RK4 oracle at step 1e-3.  The angles are drawn first."""
+    meridian images; the structural identities at 1,000 abscissae; the RK4
+    oracle at step 1e-3.  The angles and abscissae are 2 pi times and
+    lo + W times the first 3 and the next 1,000 golden-ratio draws
+    frac(s + i phi), with the integer seed picking s = frac(seed phi)."""
     lo, hi = FD_STEP_RANGE
     if not lo <= fd_step <= hi:  # 0, the analytic mode, would fill the [fd] rows
         raise ValueError("--fd-step must be within [%g, %g], got %r" % (lo, hi, fd_step))
+    if not -(2**53) <= seed <= 2**53:  # where seed phi stops resolving seeds apart, and then overflows
+        raise ValueError("--seed must be within [-2**53, 2**53], got %d" % seed)
     u_span = reference_interval(p)
-    rng = np.random.default_rng(seed)
+    draws = _golden_draws(seed, 1003)
     reports = []
     for h in (fd_step, 0.0):
         reports += check_local_isometry(p, params, u_span, nt=grid[0], nu=grid[1], fd_step=h)
     u_line = np.linspace(u_span.lo, u_span.hi, 16)
-    meridians = [check_meridian_straightness(p, params, float(t), u_line) for t in rng.uniform(0.0, 2.0 * math.pi, 3)]
-    reports.append(max(meridians, key=lambda rep: rep.max_abs_residual))  # the first of equals
-    reports += check_structural_identities(p, rng.uniform(u_span.lo, u_span.hi, 1000))
+    reports.append(check_meridian_straightness(p, params, 2.0 * math.pi * draws[:3], u_line))
+    reports += check_structural_identities(p, u_span.lo + u_span.width * draws[3:])
     reports.append(ode_oracle_a(p, u_span.lo, u_span.hi, step=1e-3))
     return reports
 

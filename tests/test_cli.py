@@ -77,6 +77,31 @@ class TestVerifyCommand:
         assert spelled == run(capsys, "verify", "--c", "1", "--d=-1e-3", "--k", "1")
         assert spelled[0] == 0
 
+    def test_seed_moves_only_the_drawn_rows(self, capsys):
+        # the seed picks where the golden-ratio draws start: the straightness
+        # angles and the structural abscissae (rows 5-9), and nothing else
+        argv = ("verify", "--c", "1", "--d", "0", "--k", "1", "--seed")
+        rows = {}
+        for seed in ("0", "1", "-7", str(2**31)):
+            code, out, _ = run(capsys, *argv, seed)
+            assert (code, out) == run(capsys, *argv, seed)[:2]
+            rows[seed] = out.splitlines()
+            assert [row.split()[-1] for row in rows[seed][1:]] == ["pass"] * 11
+        for seed in ("1", "-7", str(2**31)):
+            moved = [i for i, (a, b) in enumerate(zip(rows["0"], rows[seed])) if a != b]
+            assert moved and set(moved) <= {5, 6, 7, 8, 9}
+
+    def test_seed_beyond_2_53_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1", "--seed", str(-(2**53) - 1))
+        assert (code, out) == (2, "") and "--seed" in err
+
+    def test_fresh_verify_loads_no_numpy_random(self):
+        code = ("import sys; from revproj.cli import main; main(['verify', '--c', '1', '--d', '0', '--k', '1']); "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+        out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+
     def test_fig1_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1")
         assert code == 0

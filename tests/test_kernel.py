@@ -161,6 +161,19 @@ def test_straightness_check_matches_loop(case, t):
 
 
 @settings(max_examples=40, deadline=None)
+@given(maps(), st.lists(angles, min_size=1, max_size=8))
+def test_straightness_over_angles_is_the_most_bent_meridian(case, ts):
+    # one call over all the angles reports what a loop of one-angle calls
+    # keeping the largest max, the first of equals, would
+    p, params = case
+    span = reference_interval(p)
+    u_samples = np.linspace(span.lo, span.hi, 16)
+    singles = [check_meridian_straightness(p, params, t, u_samples) for t in ts]
+    most_bent = max(singles, key=lambda rep: rep.max_abs_residual)
+    assert check_meridian_straightness(p, params, np.array(ts), u_samples) == most_bent
+
+
+@settings(max_examples=40, deadline=None)
 @given(maps(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_structural_check_matches_loop(case, fractions):
     p, _ = case

@@ -27,7 +27,8 @@ from revproj import (
     profile_jet,
     reference_interval,
 )
-from revproj.verifier import isometry_tolerance, straightness_tolerance
+import revproj.verifier as verifier_mod
+from revproj.verifier import _summarize, isometry_tolerance, straightness_tolerance
 from helpers import random_profiles
 
 
@@ -120,6 +121,45 @@ class TestMeridianStraightness:
     def test_coincident_endpoints_degenerate(self, fig1, fig1_params):
         with pytest.raises(DegenerateLine):
             check_meridian_straightness(fig1, fig1_params, 0.5, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("lam", [1.0, 1e-10, 1e-16])
+    def test_chord_floor_scales_with_the_profile(self, lam):
+        # 1,0,lam^2 on lam [0.2, 2] is the image of 1,0,1 on [0.2, 2] under
+        # u -> lam u, f -> lam f: its chord 1.8 lam is no more degenerate
+        p = make_quadratic_profile(1.0, 0.0, lam * lam)
+        rep = check_meridian_straightness(p, make_projection_params(p), 0.5, lam * np.linspace(0.2, 2.0, 16))
+        assert rep.passed
+
+    def test_degenerate_names_first_short_meridian(self, fig1, fig1_params, monkeypatch):
+        real_map = verifier_mod.plane_map
+
+        def collapsed(p, params, t, u):  # every meridian past t = 1 maps to 0
+            z, zt, zu = real_map(p, params, t, u)
+            return np.where(t > 1.0, 0j, z), zt, zu
+
+        monkeypatch.setattr(verifier_mod, "plane_map", collapsed)
+        ts = np.array([0.5, 1.5, 2.5])
+        with pytest.raises(DegenerateLine, match="at t=1.5$"):
+            check_meridian_straightness(fig1, fig1_params, ts, np.linspace(0.2, 2.0, 10))
+
+
+LAYOUTS = {
+    "contiguous": lambda x: x,
+    "reversed": lambda x: x[::-1],
+    "strided": lambda x: np.repeat(x, 3)[::3],
+    "broadcast rows": lambda x: np.broadcast_to(x, (3, x.size)),
+    "broadcast column": lambda x: np.broadcast_to(x[:, None], (x.size, 2)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5000), st.integers(0, 2**32 - 1), st.sampled_from(sorted(LAYOUTS)))
+def test_summary_mean_is_ndarray_mean_to_the_bit(size, seed, layout):
+    residuals = LAYOUTS[layout](np.random.default_rng(seed).exponential(size=size) * 1e-16)
+    rep = _summarize("r", residuals, lambda i: i, 1.0)
+    assert rep.mean_abs_residual.hex() == float(residuals.mean()).hex()
+    assert (rep.worst_point, rep.max_abs_residual, rep.samples) == (
+        int(np.argmax(residuals)), float(residuals.max()), residuals.size)
 
 
 class TestStructuralIdentities:
