@@ -28,9 +28,9 @@ from .errors import (
     SingularitySplit,
 )
 
-# Endpoints produced by clipping at the slope-feasibility boundary are pulled
-# inward by this amount so sqrt(1 - f'^2) never sees a negative argument from
-# rounding just past the boundary.
+# Clipped endpoints are pulled inward by this many lengths L = sqrt(-delta)/(2c),
+# which scale with the profile, so sqrt(1 - f'^2) never sees a negative argument
+# from rounding just past the boundary.
 BOUNDARY_INSET = 1e-9
 
 
@@ -161,12 +161,12 @@ def make_quadratic_profile(c: float, d: float, k: float) -> QuadraticProfile:
 
 
 def profile_jet(p: QuadraticProfile, u: float):
-    """Evaluate (f, f', f'') at u, a float or a numpy array.
+    """Evaluate (f, f', f'') at u, a float (giving numpy scalars) or an array.
 
     f = sqrt(c u^2 + d u + k), f' = (2cu + d)/(2f), f'' = (4ck - d^2)/(4 f^3).
     """
     w = p.radius_sq(u)
-    f = math.sqrt(w) if isinstance(w, float) else np.sqrt(w)
+    f = np.sqrt(w)
     f_prime = (2.0 * p.c * u + p.d) / (2.0 * f)
     f_second = -p.delta / (4.0 * f * w)
     return f, f_prime, f_second
@@ -191,16 +191,17 @@ def admissible_interval(p: QuadraticProfile, requested: DomainInterval) -> Domai
     Raises SingularitySplit with both candidate sides when u* is interior to
     ``requested``; raises EmptyDomain when nothing of ``requested`` is
     feasible.  Endpoints clipped at the feasibility boundary are pulled
-    inward by BOUNDARY_INSET.
+    inward by BOUNDARY_INSET times the length L = sqrt(-delta)/(2c).
     """
     us = p.singular_u
     if requested.lo < us < requested.hi:
         raise SingularitySplit(lower=(requested.lo, us), upper=(us, requested.hi))
     lo, hi = requested.lo, requested.hi
+    inset = BOUNDARY_INSET * (p.sqrt_neg_delta / (2.0 * p.c))
     if us == lo:
-        lo = us + BOUNDARY_INSET
+        lo = us + inset
     if us == hi:
-        hi = us - BOUNDARY_INSET
+        hi = us - inset
     feas_lo, feas_hi = slope_feasible_span(p)
     if math.isfinite(feas_lo):
         if hi <= feas_lo or lo >= feas_hi:
@@ -209,9 +210,9 @@ def admissible_interval(p: QuadraticProfile, requested: DomainInterval) -> Domai
                 % (requested.lo, requested.hi, feas_lo, feas_hi)
             )
         if lo < feas_lo:
-            lo = feas_lo + BOUNDARY_INSET
+            lo = feas_lo + inset
         if hi > feas_hi:
-            hi = feas_hi - BOUNDARY_INSET
+            hi = feas_hi - inset
     if not lo < hi:
         raise EmptyDomain("requested [%g, %g] leaves no admissible width" % (requested.lo, requested.hi))
     return DomainInterval(lo, hi)

@@ -92,17 +92,12 @@ class ExistenceVerdict:
     quadratic fit, which the residual gate bounds by the threshold.
     ``fitted`` holds the least-squares (c, d, k) when the misfit passed,
     whether or not the coefficients turned out admissible.
-    ``residual_sup`` = sup|(f f')''| over the samples, attained at
-    ``worst_u``, is a diagnostic in the profile's units and decides
-    nothing.
     """
 
     gate: str
     misfit: float
     fitted: Optional[Tuple[float, float, float]]
     curvature_range: Tuple[float, float]
-    residual_sup: float
-    worst_u: float
 
     @property
     def exists(self) -> bool:
@@ -123,6 +118,11 @@ def _summarize(name, residuals, point_at, bound):
         samples=residuals.size,
         bound=bound,
     )
+
+
+def _term_scale(p: QuadraticProfile, us) -> float:
+    """max|u| + 2|w0| over the samples us, the size of the two terms of Phi."""
+    return float(np.abs(us).max()) + 2.0 * p.w0_modulus
 
 
 def isometry_tolerance(
@@ -148,7 +148,7 @@ def isometry_tolerance(
     eps sqrt(c) scale, kept above the 1e-12 floor.
     """
     h = fd_step
-    scale = max(abs(u_span.lo - h), abs(u_span.hi + h)) + 2.0 * p.w0_modulus
+    scale = _term_scale(p, (u_span.lo - h, u_span.hi + h))
     eps = np.finfo(float).eps
     if h == 0.0:
         return max(ANALYTIC_ISOMETRY_FLOOR, ANALYTIC_ISOMETRY_SAFETY * eps * max(1.0, p.sqrt_c * scale))
@@ -216,11 +216,6 @@ def meridian_deviation(z):
     length = np.abs(chord)
     direction = np.conj(chord) / np.where(length > 0.0, length, 1.0)
     return np.abs(((z - z[..., :1]) * direction).imag), length[..., 0]
-
-
-def _term_scale(p: QuadraticProfile, us) -> float:
-    """max|u| + 2|w0| over the samples us, the size of the two terms of Phi."""
-    return float(np.max(np.abs(us))) + 2.0 * p.w0_modulus
 
 
 def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = STRAIGHTNESS_UNIT_BOUND) -> float:
@@ -388,7 +383,9 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
     * ``u_star_inside``: u* must lie off [lo, hi].
 
     Under u -> lambda u, f -> lambda f, x stays and f^2, c_x, d_x and k_x
-    all scale by lambda^2, so no gate moves.
+    all scale by lambda^2, so no gate moves.  f is divided by 2^e > max f,
+    exactly, before it is squared, and the fitted (c, d, k) are multiplied
+    back by 4^e; ValueError if max f^2 or a fitted coefficient overflows.
     """
     if n_samples < 10:
         raise ValueError("classifier needs n_samples >= 10")
@@ -403,16 +400,10 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
         us, f_vals = gp.table
     if not np.all(f_vals > 0):
         raise ValueError("profile must be positive on its domain")
-    f_sq = f_vals * f_vals
-
-    # diagnostics only: (f f')'' = (f^2)'''/2 = 3 f^2[u_i, ..., u_{i+3}],
-    # the third divided difference, on any row spacing
-    bend = f_sq
-    for order in (1, 2, 3):
-        bend = np.diff(bend) / (us[order:] - us[:-order])
-    bend = 3.0 * np.abs(bend)
-    worst = int(np.argmax(bend))
-    diagnostics = {"residual_sup": float(bend[worst]), "worst_u": float(0.5 * (us[worst] + us[worst + 3]))}
+    e = math.frexp(np.max(f_vals))[1]  # max f < 2^e, so max f^2 < 4^e
+    if e > 512:
+        raise ValueError("f^2 overflows: max f = %g" % np.max(f_vals))
+    f_sq = np.square(np.ldexp(f_vals, -e))  # f^2 / 4^e
     curvature_range = curvature_report(gp)
 
     x = (us - lo) / width
@@ -422,17 +413,20 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
     misfit = gap / abs(c_x) if c_x else math.inf
     scale = float(np.max(f_sq))
     if gap >= threshold * abs(c_x) + CLASSIFIER_ROUNDING_FLOOR * np.finfo(float).eps * scale:
-        return ExistenceVerdict("residual", misfit, None, curvature_range, **diagnostics)
+        return ExistenceVerdict("residual", misfit, None, curvature_range)
 
     t = -lo / width  # x at u = 0
-    fitted = (c_x / width**2, (2.0 * c_x * t + d_x) / width, (c_x * t + d_x) * t + k_x)
+    with np.errstate(over="ignore"):
+        fitted = np.ldexp((c_x / width**2, (2.0 * c_x * t + d_x) / width, (c_x * t + d_x) * t + k_x), 2 * e)
+    if not np.all(np.isfinite(fitted)):
+        raise ValueError("the fitted coefficients of f^2 overflow")
     if not (c_x > 1e-9 * scale and d_x * d_x < 4.0 * c_x * k_x * (1.0 - 1e-9)):
         gate = "coefficients"
     elif 0.0 <= -d_x / (2.0 * c_x) <= 1.0:
         gate = "u_star_inside"
     else:
         gate = "admissible"
-    return ExistenceVerdict(gate, misfit, fitted, curvature_range, **diagnostics)
+    return ExistenceVerdict(gate, misfit, tuple(map(float, fitted)), curvature_range)
 
 
 def _row_curvature(u, f):
@@ -443,10 +437,12 @@ def _row_curvature(u, f):
     1627-1639) that holds on uneven rows.  Each window's abscissae are
     measured from its centre row in units of its half-width before the 3x3
     normal equations are solved, so they stay in [-1, 1] at any scale and
-    K lambda^2 does not move under u -> lambda u, f -> lambda f.  It is
-    the classifier's own quadratic model, so an admissible table gives its
-    K to rounding."""
+    K lambda^2 does not move under u -> lambda u, f -> lambda f; f is first
+    divided by 2^e > max f, exactly, so that w * w stays finite.  It is the
+    classifier's own quadratic model, so an admissible table gives its K to
+    rounding."""
     windows = np.lib.stride_tricks.sliding_window_view
+    f = np.ldexp(f, -math.frexp(np.max(f))[1])
     half = 0.5 * (u[4:] - u[:-4])
     x = (windows(u, 5) - u[2:-2, None]) / half[:, None]
     basis = x[..., None] ** np.arange(3)  # 1, x, x^2 per row of each window

@@ -265,6 +265,19 @@ class TestClassifyCommand:
         assert out.startswith("exists: false\ngate: residual\n")
         assert "fitted:" not in out
 
+    @pytest.mark.parametrize("lam, code", [(1e-150, 0), (1e150, 0), (1e160, 2)])
+    def test_csv_at_extreme_scales(self, capsys, tmp_path, lam, code):
+        # the lam-image of sqrt(u^2 + 1) on [0.2, 2] is admissible at any
+        # scale whose f^2 is a double; at 1e160 f^2 overflows, a usage error
+        path = write_profile(tmp_path, lambda u: lam * np.sqrt((u / lam) ** 2 + 1.0), 0.2 * lam, 2.0 * lam, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(capsys, "classify", "--profile", "csv:%s" % path)
+        if code == 0:
+            assert got[0] == 0 and got[1].startswith("exists: true\ngate: admissible\n")
+        else:
+            assert got[:2] == (2, "") and got[2].startswith("error: f^2 overflows")
+
     def test_small_quadratic_profile(self, capsys):
         # a chart ~1e-6 wide: no absolute step has to fit inside it
         code, out, _ = run(capsys, "classify", "--profile", "quadratic:1000,0,1e-6")
@@ -360,6 +373,22 @@ class TestExportCommands:
                            "-o", str(out_path))
         assert code == 0, err
         assert out_path.read_text().splitlines()[0] == "v 1.0 0.0 0.0"
+
+    @pytest.mark.parametrize("lam", [1.0, 1e-10, 1e-16])
+    def test_mesh_clipped_at_u_star_scales_with_the_profile(self, capsys, tmp_path, lam):
+        # u0 = u* is moved inward by an inset measured in the profile's
+        # length sqrt(-delta)/(2c), so the lam-image (3, 0, lam^2) on
+        # [0, lam] is the lam = 1 mesh times lam
+        def vertices(scale):
+            out_path = tmp_path / ("%r.obj" % scale)
+            code, _, err = run(capsys, "export-mesh", "--c", "3", "--d", "0", "--k", repr(scale * scale),
+                               "--u0", "0", "--u1", repr(scale), "-o", str(out_path))
+            assert code == 0, err
+            lines = out_path.read_text().splitlines()
+            return np.array([[float(v) for v in line.split()[1:]] for line in lines if line.startswith("v ")])
+
+        base = vertices(1.0)
+        assert np.max(np.abs(vertices(lam) - lam * base)) <= 8.0 * np.finfo(float).eps * lam * np.max(np.abs(base))
 
     def test_table(self, capsys, tmp_path):
         out_path = tmp_path / "t.csv"

@@ -6,7 +6,7 @@ against a per-point loop over the scalar wrappers, and the closed-form
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revproj import (
@@ -31,6 +31,7 @@ from revproj.verifier import isometry_tolerance, straightness_tolerance
 EPS = np.finfo(float).eps
 ULPS = 8
 angles = st.floats(-math.pi, math.pi)
+UNIT = make_quadratic_profile(1, 0, 1)
 
 
 def term_scale(p, us):
@@ -171,6 +172,33 @@ def test_straightness_over_angles_is_the_most_bent_meridian(case, ts):
     singles = [check_meridian_straightness(p, params, t, u_samples) for t in ts]
     most_bent = max(singles, key=lambda rep: rep.max_abs_residual)
     assert check_meridian_straightness(p, params, np.array(ts), u_samples) == most_bent
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps(), st.lists(angles, min_size=1, max_size=4), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+@example((UNIT, make_projection_params(UNIT)), [0.0], [0.203132])  # math.atan and np.arctan round a(u) apart
+def test_scalar_calls_are_elements_of_the_array_call(case, ts, us):
+    # One code path: a float argument gives the array call's element, as a
+    # float or a complex.  numpy rounds its real ufuncs (sqrt, arctan, exp)
+    # and real arithmetic alike for a scalar and an array, so f, f', f'', a,
+    # a' and dPhi/du match to the bit.  Phi and dPhi/dt end in a product of
+    # two complex numbers, which numpy's array loop can fuse (an fma, on
+    # x86_64 with FMA3) and its scalar arithmetic does not, so they match to
+    # a few eps of their terms.
+    p, params = case
+    t, u = np.array(ts)[:, None], np.array(us)
+    jet, turning = profile_jet(p, u), meridian_turning(p, u)
+    z, zt, zu = plane_map(p, params, t, u)
+    scale = term_scale(p, us)
+    for j, uj in enumerate(us):
+        for got, arr in zip(profile_jet(p, uj) + meridian_turning(p, uj), jet + turning):
+            assert isinstance(got, float) and got == arr[j]
+        for i, ti in enumerate(ts):
+            z1, zt1, zu1 = plane_map(p, params, ti, uj)
+            assert all(isinstance(v, complex) for v in (z1, zt1, zu1))
+            assert zu1 == zu[i, 0]
+            assert abs(z1 - z[i, j]) <= ULPS * EPS * scale
+            assert abs(zt1 - zt[i, j]) <= ULPS * EPS * scale * max(1.0, p.sqrt_c)
 
 
 @settings(max_examples=40, deadline=None)

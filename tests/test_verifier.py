@@ -289,17 +289,11 @@ class TestExistenceClassifier:
         verdict = existence_classifier(BUILTIN_PROFILES["sphere"])
         assert not verdict.exists
         assert verdict.fitted is None
-        # (f f')'' = 2 sin 2u peaks at 2 near u = pi/4
-        assert verdict.residual_sup == pytest.approx(2.0, rel=0.05)
-        assert verdict.worst_u == pytest.approx(math.pi / 4, abs=0.05)
         assert verdict.curvature_range == pytest.approx((1.0, 1.0), abs=1e-6)
 
     def test_pseudosphere_profile_rejected(self):
         verdict = existence_classifier(BUILTIN_PROFILES["pseudosphere"])
         assert not verdict.exists
-        # (f f')'' = 4 e^{2u}, increasing, so the sup sits at the largest
-        # interior sample just below u = -0.5
-        assert 4.0 * math.exp(2.0 * -0.52) < verdict.residual_sup < 4.0 * math.exp(-1.0) * 1.001
         assert verdict.curvature_range == pytest.approx((-1.0, -1.0), abs=1e-6)
 
     def test_quadratic_radius_accepted_and_fitted(self):
@@ -307,6 +301,22 @@ class TestExistenceClassifier:
         verdict = existence_classifier(gp)
         assert verdict.exists
         assert verdict.fitted == pytest.approx((1.0, 0.0, 1.0), abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-150.0, 150.0))
+    def test_table_follows_the_homothety_at_any_scale(self, log_lam):
+        # u -> lam u, f -> lam f keeps f^2 = u^2 + 1 quadratic with c = 1:
+        # the table stays admissible, d and k scale by lam and lam^2, K by
+        # lam^-2, with no square of f or of w leaving the doubles
+        lam = 10.0**log_lam
+        u = np.linspace(0.2, 2.0, 50)
+        base = existence_classifier(GeneralProfile.from_table(u, np.sqrt(u * u + 1.0)))
+        verdict = existence_classifier(GeneralProfile.from_table(lam * u, lam * np.sqrt(u * u + 1.0)))
+        assert verdict.gate == "admissible"
+        c, d, k = verdict.fitted
+        assert c == pytest.approx(1.0, rel=1e-9) and abs(d) < 1e-9 * lam and k == pytest.approx(lam * lam, rel=1e-9)
+        scaled = [v * lam * lam for v in verdict.curvature_range]
+        assert scaled == pytest.approx(base.curvature_range, rel=1e-8)
 
     def test_flat_cone_rejected_by_discriminant(self):
         # f linear in u: f^2 is a perfect-square quadratic, discriminant 0
@@ -391,9 +401,9 @@ class TestExistenceClassifier:
     def test_verdict_fields(self):
         # exists is read from gate, not stored beside it
         assert [f.name for f in dataclasses.fields(ExistenceVerdict)] == [
-            "gate", "misfit", "fitted", "curvature_range", "residual_sup", "worst_u"]
+            "gate", "misfit", "fitted", "curvature_range"]
         for gate in ("residual", "coefficients", "u_star_inside", "admissible"):
-            verdict = ExistenceVerdict(gate, 0.0, None, (-1.0, -1.0), 0.0, 0.0)
+            verdict = ExistenceVerdict(gate, 0.0, None, (-1.0, -1.0))
             assert verdict.exists == (gate == "admissible")
 
     def test_sample_count_validated(self):
