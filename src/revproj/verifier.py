@@ -385,7 +385,9 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
     Under u -> lambda u, f -> lambda f, x stays and f^2, c_x, d_x and k_x
     all scale by lambda^2, so no gate moves.  f is divided by 2^e > max f,
     exactly, before it is squared, and the fitted (c, d, k) are multiplied
-    back by 4^e; ValueError if max f^2 or a fitted coefficient overflows.
+    back by 4^e; W is divided by 2^s > W the same way, so W^2 neither
+    overflows nor underflows on any finite domain.  ValueError if max f^2
+    or a fitted coefficient overflows.
     """
     if n_samples < 10:
         raise ValueError("classifier needs n_samples >= 10")
@@ -416,8 +418,12 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
         return ExistenceVerdict("residual", misfit, None, curvature_range)
 
     t = -lo / width  # x at u = 0
+    s = math.frexp(width)[1]  # W = unit 2^s, unit in [1/2, 1)
+    unit = math.ldexp(width, -s)
     with np.errstate(over="ignore"):
-        fitted = np.ldexp((c_x / width**2, (2.0 * c_x * t + d_x) / width, (c_x * t + d_x) * t + k_x), 2 * e)
+        fitted = np.ldexp(
+            (c_x / unit**2, (2.0 * c_x * t + d_x) / unit, (c_x * t + d_x) * t + k_x), (2 * e - 2 * s, 2 * e - s, 2 * e)
+        )
     if not np.all(np.isfinite(fitted)):
         raise ValueError("the fitted coefficients of f^2 overflow")
     if not (c_x > 1e-9 * scale and d_x * d_x < 4.0 * c_x * k_x * (1.0 - 1e-9)):
@@ -438,11 +444,14 @@ def _row_curvature(u, f):
     measured from its centre row in units of its half-width before the 3x3
     normal equations are solved, so they stay in [-1, 1] at any scale and
     K lambda^2 does not move under u -> lambda u, f -> lambda f; f is first
-    divided by 2^e > max f, exactly, so that w * w stays finite.  It is the
-    classifier's own quadratic model, so an admissible table gives its K to
-    rounding."""
+    divided by 2^e > max f and u by 2^s > max|u|, exactly, so that w * w
+    and half * half stay finite, and K is multiplied back by 4^-s.  It is
+    the classifier's own quadratic model, so an admissible table gives its K
+    to rounding."""
     windows = np.lib.stride_tricks.sliding_window_view
     f = np.ldexp(f, -math.frexp(np.max(f))[1])
+    s = math.frexp(np.max(np.abs(u)))[1]
+    u = np.ldexp(u, -s)
     half = 0.5 * (u[4:] - u[:-4])
     x = (windows(u, 5) - u[2:-2, None]) / half[:, None]
     basis = x[..., None] ** np.arange(3)  # 1, x, x^2 per row of each window
@@ -450,7 +459,7 @@ def _row_curvature(u, f):
     moments = np.einsum("mri,mr->mi", basis, windows(f * f, 5))
     w, wx, wxx = np.linalg.solve(normal, moments[..., None])[..., 0].T
     w1, w2 = wx / half, 2.0 * wxx / (half * half)
-    return w1 * w1 / (4.0 * w * w) - w2 / (2.0 * w)
+    return np.ldexp(w1 * w1 / (4.0 * w * w) - w2 / (2.0 * w), -2 * s)
 
 
 def curvature_report(gp: GeneralProfile):

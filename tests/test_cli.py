@@ -278,6 +278,19 @@ class TestClassifyCommand:
         else:
             assert got[:2] == (2, "") and got[2].startswith("error: f^2 overflows")
 
+    def test_csv_wider_than_the_square_root_of_the_largest_double(self, capsys, tmp_path):
+        # W^2 ~ 1e320 while f^2 <= 1e300 stays finite: a verdict, not an
+        # OverflowError's traceback
+        path = write_profile(tmp_path, lambda u: np.sqrt((1e-10 * u) ** 2 + 1.0), 0.0, 1e160, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "classify", "--profile", "csv:%s" % path)
+        assert (code, err) == (1, "")
+        assert out.startswith("exists: false\ngate: ")
+        # |K| < 1e-580 at every row, which rounds to a signed zero
+        k_min, k_max = map(float, out.rsplit("curvature_range: [", 1)[1].rstrip("]\n").split(", "))
+        assert k_min == k_max == 0.0
+
     def test_small_quadratic_profile(self, capsys):
         # a chart ~1e-6 wide: no absolute step has to fit inside it
         code, out, _ = run(capsys, "classify", "--profile", "quadratic:1000,0,1e-6")

@@ -1,4 +1,5 @@
 import csv
+import errno
 import math
 import os
 import struct
@@ -578,3 +579,81 @@ class TestAtomicWrite:
         target = tmp_path / "mode.txt"
         export_mod._atomic_write(str(target), b"x\n")
         assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def record_reservations(self, monkeypatch, error=None):
+        """Replace os.posix_fallocate with a recorder of its calls, each as
+        (inode of fd, offset, length), that raises OSError(error) if given."""
+        calls = []
+
+        def reserve(fd, offset, length):
+            calls.append((os.fstat(fd).st_ino, offset, length))
+            if error is not None:
+                raise OSError(error, os.strerror(error))
+
+        monkeypatch.setattr(export_mod.os, "posix_fallocate", reserve, raising=False)
+        return calls
+
+    def test_new_path_is_not_reserved(self, tmp_path, monkeypatch):
+        calls = self.record_reservations(monkeypatch)
+        target = tmp_path / "new.txt"
+        export_mod._atomic_write(str(target), b"new\n")
+        assert calls == []
+        assert target.read_bytes() == b"new\n"
+
+    def test_existing_path_is_reserved_once_at_the_new_length(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old\n")
+        calls = self.record_reservations(monkeypatch)
+        export_mod._atomic_write(str(target), b"replacement\n")
+        # the reserved file is the one renamed over the target
+        assert calls == [(target.stat().st_ino, 0, len(b"replacement\n"))]
+        assert target.read_bytes() == b"replacement\n"
+
+    def test_empty_data_is_not_reserved(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old\n")
+        calls = self.record_reservations(monkeypatch)
+        export_mod._atomic_write(str(target), b"")
+        assert calls == []
+        assert target.read_bytes() == b""
+
+    @pytest.mark.parametrize("name", ["EOPNOTSUPP", "ENOSYS", "EINVAL"])
+    def test_unsupported_reservation_still_writes(self, tmp_path, monkeypatch, name):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old\n")
+        calls = self.record_reservations(monkeypatch, getattr(errno, name))
+        export_mod._atomic_write(str(target), b"replacement\n")
+        assert len(calls) == 1
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert target.read_bytes() == b"replacement\n"
+
+    def test_platform_without_posix_fallocate_still_writes(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(export_mod.os, "posix_fallocate", raising=False)
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old\n")
+        export_mod._atomic_write(str(target), b"replacement\n")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert target.read_bytes() == b"replacement\n"
+
+    @pytest.mark.parametrize("name", ["ENOSPC", "EDQUOT", "EIO"])
+    def test_failed_reservation_keeps_the_old_target(self, tmp_path, monkeypatch, name):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old\n")
+        self.record_reservations(monkeypatch, getattr(errno, name))
+        with pytest.raises(IoFailure, match=os.strerror(getattr(errno, name))):
+            export_mod._atomic_write(str(target), b"replacement\n")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert target.read_bytes() == b"old\n"
+
+    def test_replaced_target_is_a_new_inode(self, tmp_path):
+        # a rename, not an overwrite in place: a reader holding the old file
+        # open keeps reading the old bytes
+        target = tmp_path / "out.txt"
+        export_mod._atomic_write(str(target), b"old\n")
+        before = target.stat().st_ino
+        with open(target, "rb") as reader:
+            export_mod._atomic_write(str(target), b"replacement\n")
+            assert reader.read() == b"old\n"
+        assert target.stat().st_ino != before
+        assert target.read_bytes() == b"replacement\n"
+        assert os.listdir(tmp_path) == ["out.txt"]

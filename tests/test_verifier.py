@@ -473,6 +473,16 @@ class TestCurvatureReport:
         assert abs(scaled_min * lam * lam / k_min - 1.0) < 1e-9
         assert abs(scaled_max * lam * lam / k_max - 1.0) < 1e-9
 
+    def test_table_beyond_the_square_root_of_the_largest_double(self):
+        # u -> 2^520 u, f -> 2^520 f: half * half would be ~2^1037, and K
+        # 2^1040 keeps every bit, though K itself is subnormal
+        u = np.linspace(0.2, 4.0, 20)
+        f = np.sqrt(u * u + 1.0)
+        with np.errstate(over="raise", invalid="raise"):
+            scaled = verifier_mod._row_curvature(np.ldexp(u, 520), np.ldexp(f, 520))
+        assert np.all(scaled < 0.0)
+        assert np.array_equal(scaled, np.ldexp(verifier_mod._row_curvature(u, f), -1040))
+
     def test_always_negative_for_admissible_profiles(self):
         p = make_quadratic_profile(1, 1, 1)
         assert np.max(gaussian_curvature(p, np.linspace(0.0, 1.0, 50))) < 0.0
