@@ -294,16 +294,12 @@ def cli_dispatch(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except IoFailure as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     except (RevprojError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, IoFailure) else 2
 
 
-def main(argv=None) -> int:
-    return cli_dispatch(argv)
+main = cli_dispatch  # the console script's and python -m revproj's entry point
 
 
 if __name__ == "__main__":

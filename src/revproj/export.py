@@ -24,13 +24,7 @@ import numpy as np
 from .errors import CollinearityViolation, DegenerateLine, IoFailure
 from .profile import DomainInterval, QuadraticProfile, eval_g, profile_jet
 from .projection import ProjectionParams, plane_map
-from .verifier import meridian_deviation, straightness_tolerance
-
-# Internal guard on meridian images before they are collapsed to two-point
-# polylines, as the unit bound of verifier.straightness_tolerance: they are
-# straight by construction and round to a few eps of its term scale, so
-# anything above this share of it is a bug.
-MERIDIAN_DEVIATION_GUARD = 1e-9
+from .verifier import check_meridian_straightness
 
 SVG_MARGIN_FRACTION = 0.05
 
@@ -53,6 +47,8 @@ class GraticuleSpec:
             raise ValueError("samples_per_curve must be at least 8")
         if not self.t_range[0] < self.t_range[1]:
             raise ValueError("t_range must be increasing")
+        if not math.isfinite(self.t_range[1] - self.t_range[0]):
+            raise ValueError("t_range must be finite, got %r" % (self.t_range,))
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,9 @@ def _reserve(fd: int, size: int):
 def export_graticule_svg(
     p: QuadraticProfile, params: ProjectionParams, spec: GraticuleSpec, path: str
 ) -> dict:
-    """Write an SVG graticule: one two-point polyline per meridian image
-    (intermediate samples asserted collinear first) and one sampled polyline
+    """Write an SVG graticule: one polyline per meridian image, drawn from
+    its two ends once all of them pass verify's straightness row
+    (CollinearityViolation names the most bent), and one sampled polyline
     per parallel image.  Screen y is the flipped plane y; the viewBox is
     fitted with a 5% margin."""
     t0, t1 = spec.t_range
@@ -191,17 +188,16 @@ def export_graticule_svg(
     u_samples = np.linspace(u_lo, u_hi, spec.samples_per_curve)
     t_samples = np.linspace(t0, t1, spec.samples_per_curve)
 
-    # one row of samples per meridian image and per parallel image
-    meridians, _, _ = plane_map(p, params, t_values[:, None], u_samples[None, :])
+    # the meridian images are straight by construction: a bent one is a bug
+    report = check_meridian_straightness(p, params, t_values, u_samples)
+    if not report.passed:
+        t, deviation = report.worst_point[0], report.max_abs_residual
+        raise CollinearityViolation("meridian image at t=%g deviates %g from a straight line" % (t, deviation))
+    # the ends of each meridian image and one row of samples per parallel image
+    meridians, _, _ = plane_map(p, params, t_values[:, None], u_samples[[0, -1]])
     parallels, _, _ = plane_map(p, params, t_samples[None, :], u_values[:, None])
 
-    deviation = meridian_deviation(meridians)[0].max(axis=1)
-    bound = straightness_tolerance(p, u_samples, MERIDIAN_DEVIATION_GUARD)
-    for t, dev in zip(t_values, deviation):
-        if dev > bound:
-            raise CollinearityViolation("meridian image at t=%g deviates %g from a straight line" % (t, dev))
-
-    polylines = [(z, "#202020") for z in meridians[:, [0, -1]]] + [(z, "#777777") for z in parallels]
+    polylines = [(z, "#202020") for z in meridians] + [(z, "#777777") for z in parallels]
     all_z = np.concatenate([z for z, _ in polylines])
     min_x, max_x = float(all_z.real.min()), float(all_z.real.max())
     min_y, max_y = float(-all_z.imag.max()), float(-all_z.imag.min())

@@ -237,15 +237,23 @@ def reference_interval(p: QuadraticProfile, span: float = 1.8, margin: float = 0
 # fixed count keeps every element's rounding independent of the others in
 # its array, so an array call equals the scalar calls bit for bit.
 _DUPLICATIONS = 16
+# The height formulas take ends x with |x| < 2^340 and beta x^2 < 2^672,
+# where none of their products overflows: the largest are x (beta x^2)^2 and
+# Carlson's (beta x^2)^(3/2).  Farther ends are scaled into that box by a
+# power of two (_box_exponents).  Past E = 511, where 4^-E would no longer
+# be a normal number, the height is NaN.
+_BOX_X, _BOX_D = 340, 672
+_MAX_SCALE = 511
 
 
-def _carlson_rf_rd(y, z):
-    """R_F(1, y, z) and R_D(y, z, 1) for arrays y >= 0, z > 0, by Carlson's
-    duplication (DLMF 19.36(i); B. C. Carlson, arXiv:math/9409227).  The two
-    integrals take the same three arguments, so one loop serves both; each
-    ends with its fifth-order series in the deviations from the mean."""
-    args = np.stack((np.ones_like(y), y, z))  # row 0: R_D's third argument
-    a_f, a_d = (1.0 + y + z) / 3.0, (y + z + 3.0) / 5.0
+def _carlson_rf_rd(w, y, z):
+    """R_F(w, y, z) and R_D(y, z, w) for arrays w > 0, y >= 0, z > 0, by
+    Carlson's duplication (DLMF 19.36(i); B. C. Carlson, arXiv:math/9409227).
+    The two integrals take the same three arguments, so one loop serves
+    both; each ends with its fifth-order series in the deviations from the
+    mean."""
+    args = np.stack((w, y, z))  # row 0: R_D's third argument
+    a_f, a_d = (w + y + z) / 3.0, (y + z + 3.0 * w) / 5.0
     tail, scale = 0.0, 1.0
     for _ in range(_DUPLICATIONS):
         r = np.sqrt(args)
@@ -255,7 +263,7 @@ def _carlson_rf_rd(y, z):
         scale *= 0.25
     mean_f, mean_d = args.sum(axis=0) / 3.0, (args[1] + args[2] + 3.0 * args[0]) / 5.0
 
-    dx, dy = (a_f - 1.0) * scale / mean_f, (a_f - y) * scale / mean_f
+    dx, dy = (a_f - w) * scale / mean_f, (a_f - y) * scale / mean_f
     dz = -dx - dy
     e2, e3 = dx * dy - dz * dz, dx * dy * dz
     rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean_f)
@@ -269,37 +277,79 @@ def _carlson_rf_rd(y, z):
     return rf, rd
 
 
+def _box_exponents(beta, v):
+    """The least E >= 0 per element of v with |v| 2^-E < 2^340 and
+    beta (v 2^-E)^2 < 2^672; E = 0 wherever v is already inside."""
+    room = min(_BOX_X, (_BOX_D - math.frexp(beta)[1]) // 2)
+    return np.maximum(np.frexp(v)[1] - room, 0)
+
+
+def _sqrt_product(a, b):
+    """sqrt(a b) for a, b >= 0, each factor first brought near 1 by an even
+    power of two, so the product neither overflows nor underflows; that
+    scaling is exact, so the result is the plain sqrt(a * b)."""
+    i, j = np.frexp(a)[1] // 2, np.frexp(b)[1] // 2
+    return np.ldexp(np.sqrt(np.ldexp(a, -2 * i) * np.ldexp(b, -2 * j)), i + j)
+
+
+def _scaled(v, e):
+    """v 2^-e, NaN where e exceeds _MAX_SCALE."""
+    return np.where(e <= _MAX_SCALE, np.ldexp(v, -e), np.nan)
+
+
 def _height_from_axis(alpha, beta, x):
     """G(x) = integral_0^x sqrt((1 + alpha s^2)/(1 + beta s^2)) ds
             = x R_F(1, 1 + alpha x^2, 1 + beta x^2)
-              + (alpha x^3/3) R_D(1 + alpha x^2, 1 + beta x^2, 1)."""
+              + (alpha x^3/3) R_D(1 + alpha x^2, 1 + beta x^2, 1).
+    R_F and R_D are homogeneous of degree -1/2 and -3/2, so with x = X 2^E
+    and e = 4^-E, G(x) is the same sum in X with e in place of 1, and it is
+    evaluated so, E from ``_box_exponents``: every operation is scaled by a
+    power of two, so it rounds alike.  NaN where E exceeds _MAX_SCALE."""
+    e = _box_exponents(beta, x)
+    one = np.ldexp(1.0, -2 * e)
+    x = _scaled(x, e)
     xx = x * x
-    rf, rd = _carlson_rf_rd(np.maximum(1.0 + alpha * xx, 0.0), 1.0 + beta * xx)
+    rf, rd = _carlson_rf_rd(one, np.maximum(one + alpha * xx, 0.0), one + beta * xx)
     return x * rf + alpha * x * xx / 3.0 * rd
 
 
 def _height_between(p: QuadraticProfile, u, u_ref: float):
-    """eval_g on a 1-D array u with no element equal to u_ref."""
+    """eval_g on a 1-D array u with no element equal to u_ref.  Every end is
+    scaled by its own 2^-E as in ``_height_from_axis`` and every pair by the
+    E of its larger end, so each product and quotient below is the unscaled
+    formula's times a power of two: the same bits where E = 0."""
     m = p.radius_sq_min
     alpha, beta = (1.0 - p.c) * p.c / m, p.c / m
     x, y = u - p.singular_u, u_ref - p.singular_u
-    ends_sq = np.append(x, y) ** 2
-    num, den = 1.0 + alpha * ends_sq, 1.0 + beta * ends_sq
-    slack = num / den  # 1 - f'^2 at every end of a path
+    ends = np.append(x, y)
+    e = _box_exponents(beta, ends)
+    one = np.ldexp(1.0, -2 * e)
+    ends_sq = np.ldexp(ends, -e) ** 2
+    num, den = one + alpha * ends_sq, one + beta * ends_sq  # over 4^E
+    # 1 - f'^2 at every end of a path, at any E: 4^-E only underflows once
+    # alpha X^2 and beta X^2 dwarf it
+    slack = num / den
     worst = int(np.argmin(slack))
     if slack[worst] < -1e-12:
         raise InfeasibleArcLength(
             "f'(%g)^2 = %g exceeds 1; the profile is not arc-length feasible there"
             % (np.append(u, u_ref)[worst], 1.0 - slack[worst])
         )
-    root = np.sqrt(np.maximum(num, 0.0) * den)
-    same_side = x * y > 0.0
-    # turn is 0 only with both ends on the feasibility edge (within the
-    # slack above), where the integrand vanishes: then z = 0 and g = 0
-    turn = x * root[-1] + y * root[:-1]
-    z = np.where(same_side, np.divide((u - u_ref) * (x + y), turn, out=np.zeros_like(turn), where=turn != 0.0), x)
-    heights = _height_from_axis(alpha, beta, np.append(z, y))
-    return heights[:-1] + np.where(same_side, alpha * x * y * z, -heights[-1])
+    root = _sqrt_product(np.maximum(num, 0.0), den)  # R(x) over 4^E
+    pair = np.maximum(e[:-1], e[-1])
+    xs, ys = _scaled(x, pair), np.ldexp(y, -pair)
+    same_side = xs * ys > 0.0  # false past _MAX_SCALE, where G is NaN
+    # turn / 8^E; it is 0 only with both ends on the feasibility edge (within
+    # the slack above), where the integrand vanishes: then z = 0 and g = 0
+    turn = xs * np.ldexp(root[-1], 2 * (e[-1] - pair)) + ys * np.ldexp(root[:-1], 2 * (e[:-1] - pair))
+    ahead = np.ldexp(u - u_ref, -2 * pair) * (xs + ys)
+    # z 2^j, with j = 0 where E = 0 and z 2^j ~ 1 elsewhere, so that it
+    # neither underflows nor, times alpha X Y 4^E = alpha x y, overflows
+    j = np.where(pair > 0, np.frexp(turn)[1] - np.frexp(ahead)[1], 0)
+    z_j = np.divide(np.ldexp(ahead, j), turn, out=np.zeros_like(turn), where=same_side & (turn != 0.0))
+    heights = _height_from_axis(alpha, beta, np.append(np.where(same_side, np.ldexp(z_j, -j), x), y))
+    tail = np.ldexp(alpha * xs * ys * z_j, 2 * pair - j)  # alpha x y z, 0 off the same side
+    return heights[:-1] + np.where(same_side, tail, -heights[-1])
 
 
 def eval_g(p: QuadraticProfile, u, u_ref: float):
@@ -317,6 +367,11 @@ def eval_g(p: QuadraticProfile, u, u_ref: float):
     R(s) = sqrt((1 + alpha s^2)(1 + beta s^2)), which keeps the error at a
     few ulps of |u - u_ref| rather than of |x|.  For c = 1 it reduces to
     asinh(sqrt(beta) x)/sqrt(beta).
+
+    Far from u* the ends are scaled by powers of two (exactly, so no bit
+    moves where nothing would overflow unscaled), and g is finite wherever
+    f^2 is finite at both ends, for c >= 1e-90 and f(u*)^2 >= 1e-200.
+    Beyond that it may be NaN.
 
     Raises InfeasibleArcLength if the slope leaves the feasible band
     anywhere on a path (for this family f'^2 attains its maximum at the

@@ -208,20 +208,11 @@ def check_local_isometry(
     )
 
 
-def meridian_deviation(z):
-    """Perpendicular distances of the points z[..., i] (complex, x + iy)
-    from the straight line through z[..., 0] and z[..., -1], and the chord
-    lengths |z[..., -1] - z[..., 0]|.  A zero chord gives zero distances."""
-    chord = z[..., -1:] - z[..., :1]
-    length = np.abs(chord)
-    direction = np.conj(chord) / np.where(length > 0.0, length, 1.0)
-    return np.abs(((z - z[..., :1]) * direction).imag), length[..., 0]
-
-
-def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = STRAIGHTNESS_UNIT_BOUND) -> float:
-    """Bound on the deviations of :func:`meridian_deviation` over meridian
-    images sampled at u_samples: unit_bound times max(1, scale), with
-    scale = max|u| + 2|w0| the term scale.
+def straightness_tolerance(p: QuadraticProfile, u_samples) -> float:
+    """Bound on the deviations of :func:`check_meridian_straightness` over
+    meridian images sampled at u_samples, the one bound ``revproj verify``
+    and the SVG graticule both hold them to: STRAIGHTNESS_UNIT_BOUND times
+    max(1, scale), with scale = max|u| + 2|w0| the term scale.
 
     Along one meridian every sample shares the rounded rotation e^{-ib(t)},
     whose error turns the whole line and bends none of it.  Each sample
@@ -231,7 +222,7 @@ def straightness_tolerance(p: QuadraticProfile, u_samples, unit_bound: float = S
     are a few eps * scale.  max|Phi| alone would under-count where Phi is a
     small difference of two large terms.
     """
-    return unit_bound * max(1.0, _term_scale(p, u_samples))
+    return STRAIGHTNESS_UNIT_BOUND * max(1.0, _term_scale(p, u_samples))
 
 
 def check_meridian_straightness(p, params, t, u_samples) -> ResidualReport:
@@ -251,10 +242,13 @@ def check_meridian_straightness(p, params, t, u_samples) -> ResidualReport:
         raise ValueError("straightness check needs at least 3 u-samples")
     ts = np.asarray(t, dtype=float).reshape(-1)
     z, _, _ = plane_map(p, params, ts[:, None], us)
-    deviations, chord = meridian_deviation(z)
-    short = chord < CHORD_FLOOR_ULPS * np.finfo(float).eps * _term_scale(p, us)
+    chord = z[:, -1:] - z[:, :1]
+    length = np.abs(chord)
+    short = length[:, 0] < CHORD_FLOOR_ULPS * np.finfo(float).eps * _term_scale(p, us)
     if short.any():
         raise DegenerateLine("meridian image endpoints coincide at t=%g" % ts[short.argmax()])
+    # perpendicular distances from the line through each meridian's ends
+    deviations = np.abs(((z - z[:, :1]) * (np.conj(chord) / length)).imag)
     row = int(deviations.max(axis=1).argmax())
     t_row = ts[row] if np.ndim(t) else t
     bound = straightness_tolerance(p, us)

@@ -378,6 +378,21 @@ class TestExportCommands:
         assert code == 0
         assert "2048 vertices" in out
 
+    def test_mesh_far_from_u_star(self, capsys, tmp_path):
+        # at 1e78 the slope is sqrt(c) to ~1e-156, so g = sqrt(1 - c)(u - u0);
+        # only the anchor ring, at u0, reads 0.0
+        out_path = tmp_path / "far.obj"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "export-mesh", "--c", "0.5", "--d", "0", "--k", "1",
+                               "--u0", "1e78", "--u1", "2e78", "-o", str(out_path))
+        assert code == 0, err
+        lines = out_path.read_text().splitlines()
+        heights = np.array([float(line.split()[3]) for line in lines if line.startswith("v ")]).reshape(64, 32)
+        run_u = np.linspace(1e78, 2e78, 32) - 1e78
+        assert np.all(np.abs(heights - math.sqrt(0.5) * run_u) <= 16.0 * np.finfo(float).eps * run_u)
+        assert np.count_nonzero(heights == 0.0) == 64
+
     def test_mesh_anchors_at_clipped_lower_end(self, capsys, tmp_path):
         # f'(0) = 0 is u* for d = 0, so u0 = 0 is clipped to just above it:
         # the default anchor is the clipped end, where the height reads 0.0
@@ -421,7 +436,7 @@ class TestExportCommands:
 
     @pytest.mark.parametrize("argv", [
         ("table", "--c", "1", "--d", "0", "--k", "1", "--t0", "-1e308", "--t1", "1e308"),
-        ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u-ref", "1e200"),
+        ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u-ref", "1e300"),
         ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u1", "1e200"),
     ])
     def test_non_finite_output_writes_nothing(self, capsys, tmp_path, argv):

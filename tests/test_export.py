@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import revproj.export as export_mod
+import revproj.verifier as verifier_mod
 from revproj import (
     CollinearityViolation,
     DegenerateLine,
@@ -222,7 +223,8 @@ class TestGraticuleSvg:
         assert vx + vw > max(xs) and vy + vh > max(ys)
 
     def test_collinearity_guard_trips_on_corrupted_map(self, fig1, fig1_params, tmp_path, monkeypatch):
-        # bend the array kernel the graticule samples its meridians from
+        # bend the array kernel the graticule's straightness check maps its
+        # meridians with, and the one it draws them from
         real_map = export_mod.plane_map
 
         def bent(p, params, t, u):
@@ -230,10 +232,24 @@ class TestGraticuleSvg:
             return z + 1e-6 * np.sin(3 * u), zt, zu
 
         monkeypatch.setattr(export_mod, "plane_map", bent)
+        monkeypatch.setattr(verifier_mod, "plane_map", bent)
         spec = GraticuleSpec((0.0, math.pi), DomainInterval(0.2, 2.0))
         with pytest.raises(CollinearityViolation):
             export_graticule_svg(fig1, fig1_params, spec, str(tmp_path / "bad.svg"))
 
+
+    def test_sub_floor_window_raises_before_writing(self, fig1, fig1_params, tmp_path):
+        # a u-window one ulp wide: every meridian's chord is below verify's
+        # floor of CHORD_FLOOR_ULPS eps times the term scale
+        spec = GraticuleSpec((0.0, math.pi), DomainInterval(1.0, 1.0 + 2.0**-52))
+        with pytest.raises(DegenerateLine):
+            export_graticule_svg(fig1, fig1_params, spec, str(tmp_path / "thin.svg"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("t_range", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)])
+    def test_non_finite_t_range_is_refused(self, t_range):
+        with pytest.raises(ValueError):
+            GraticuleSpec(t_range, DomainInterval(0.2, 2.0))
 
     @pytest.mark.parametrize("coeffs, u_range", [((1.0, 0.0, 1.0), (1.0, 2.0)), ((2.5, -1.0, 0.6), (0.25, 0.55))])
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,6 +234,78 @@ class TestClosedFormHeight:
         assert heights.tolist() == [eval_g(p, v, u_ref) for v in us.tolist()]
         assert eval_g(p, us.reshape(1, -1), u_ref).tolist() == [heights.tolist()]
         assert isinstance(eval_g(p, u, u_ref), float)
+
+
+def _length(p):
+    """L = sqrt(-delta)/(2c), the profile's length scale."""
+    return p.sqrt_neg_delta / (2.0 * p.c)
+
+
+def _far_ends(p, sign, count):
+    """count abscissae on one side of u*, from 1e10 L out to where f^2 is
+    about to overflow, equispaced in log|u - u*|."""
+    top = math.log10(1e154 / math.sqrt(p.c) / _length(p))
+    return p.singular_u + sign * _length(p) * 10.0 ** np.linspace(10.0, top, count)
+
+
+FAR_PROFILES = [(1e-3, 0.5, 1.0), (0.1, -0.9, 1e-40), (0.5, 0.0, 1.0), (0.9, 0.3, 1e40)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestFarFieldHeight:
+    # A homothety cannot find a far-field fault: alpha x^2 does not move
+    # under u -> lu, f -> lf.  So distances from u* are counted in L.
+
+    @pytest.mark.parametrize("c, frac, k", FAR_PROFILES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_same_side_slope_is_sqrt_one_minus_c(self, c, frac, k, sign):
+        # far from u* on one side f' -> sqrt(c), so g = sqrt(1 - c)(u - u_ref)
+        # up to a term of order L^2/((u - u*)(u_ref - u*)) < 1e-20
+        p = make_quadratic_profile(c, frac * 2.0 * math.sqrt(c * k), k)
+        us = _far_ends(p, sign, 40)
+        for u_ref in [us[0], us[17], us[-1], float(us[23] * (1.0 + 1e-9))]:
+            moved = us != u_ref
+            run = np.array([float(Fraction(u) - Fraction(u_ref)) for u in us[moved].tolist()])
+            heights = eval_g(p, us[moved], u_ref)
+            assert np.all(np.abs(heights - math.sqrt(1.0 - c) * run) <= 16.0 * np.finfo(float).eps * np.abs(run))
+
+    @pytest.mark.parametrize("k", [1.0, 1e-40, 1e40])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_c_one_matches_asinh(self, k, sign):
+        # c = 1: g = sqrt(m) (asinh(x/sqrt(m)) - asinh(x_ref/sqrt(m))), m = f(u*)^2
+        import mpmath
+
+        p = make_quadratic_profile(1.0, 0.4 * 2.0 * math.sqrt(k), k)
+
+        def closed(u):
+            root_m = mpmath.sqrt(mpmath.mpf(p.radius_sq_min))
+            return root_m * mpmath.asinh((mpmath.mpf(u) - mpmath.mpf(p.singular_u)) / root_m)
+
+        us = _far_ends(p, sign, 30)
+        for u_ref in [us[0], us[-1], float(us[11] * (1.0 + 1e-9)), p.singular_u - sign * 3.0 * _length(p)]:
+            moved = us != u_ref
+            heights = eval_g(p, us[moved], u_ref)
+            with mpmath.workdps(60):
+                expect = [float(closed(u) - closed(u_ref)) for u in us[moved].tolist()]
+            assert np.all(np.abs(heights - expect) <= 16.0 * np.finfo(float).eps * np.abs(expect))
+
+    @pytest.mark.parametrize("c, frac, k", FAR_PROFILES + [(1.0, 0.2, 1.0)])
+    def test_heights_add_across_u_star(self, c, frac, k):
+        p = make_quadratic_profile(c, frac * 2.0 * math.sqrt(c * k), k)
+        below, above = _far_ends(p, -1.0, 12), _far_ends(p, 1.0, 12)
+        for u_ref in [above[0], above[-1], below[-1]]:
+            for via in [above[5], below[7], p.singular_u + _length(p)]:
+                direct = eval_g(p, below, u_ref)
+                first, second = eval_g(p, below, via), eval_g(p, via, u_ref)
+                assert np.all(np.isfinite(direct))
+                assert np.all(np.abs(direct - (first + second)) <= 16.0 * np.finfo(float).eps * (np.abs(first) + abs(second)))
+
+    @pytest.mark.parametrize("u, u_ref", [(1e155, 0.1), (0.1, -1e300), (1e308, 1e307), (-1e200, 1e200)])
+    def test_infeasible_far_end_raises(self, u, u_ref):
+        with pytest.raises(InfeasibleArcLength):
+            eval_g(make_quadratic_profile(2, 0, 1), u, u_ref)
+        with pytest.raises(InfeasibleArcLength):
+            eval_g(make_quadratic_profile(1.0 + 1e-9, 0.5, 1.0), np.array([0.0, u]), u_ref)
 
 
 class TestCurvatureAndMetric:
