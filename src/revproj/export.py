@@ -4,11 +4,11 @@ Wavefront OBJ, and coordinate sample tables as CSV.
 All writes are atomic (temp file + rename) and numeric fields use the
 shortest round-trip representation so emitted files re-ingest losslessly:
 each field is one ``repr``.  The SVG and CSV text is filled in with one
-%-format of a repeated row template.  The mesh formats each of its rings'
-magnitude rows |cos t| f and |sin t| f and each height once, joins every
-ring from those shared pieces with the signs put in front, and assembles
-its face block as bytes from a table of digits.  The bytes are those of
-formatting every field on its own.
+%-format of a repeated row template, the CSV's t and u once per bit pattern.
+The mesh formats its rings' magnitude rows |cos t| f and |sin t| f and each
+height once, joins every ring from those pieces with the signs in front, and
+copies its face lines in blocks of rings from a table of each id's digits.
+The bytes are those of formatting every field on its own.
 """
 
 from __future__ import annotations
@@ -103,26 +103,38 @@ def _unit_circle(n: int):
     return cos_t, sin_t
 
 
-def _face_block(quads, n_vertices: int) -> bytes:
-    """The OBJ lines ``f a b c d`` of the rows of ``quads``, 1-based vertex
-    ids of at most ``n_vertices``, assembled as bytes.  A table holds each
-    id's decimal digits right-aligned in ``width`` bytes, NUL before the
-    leading digit, and a space after them; each line is ``f `` and the four
-    rows of its ids, the last space made a newline, and the NULs are dropped
-    at the end."""
-    width = len(str(n_vertices))
-    ids = np.arange(n_vertices + 1)
-    digits = np.full((n_vertices + 1, width + 1), ord(" "), dtype=np.uint8)
+def _face_block(nt: int, nu: int) -> bytes:
+    """The OBJ lines ``f a b c d`` of an nt x nu mesh's quads as bytes, the
+    last ring of faces wrapped back to the first.  A table holds one slot
+    per 1-based id: its digits right-aligned, NULs in front, then a space.
+    Lines are four slot copies from two rows of that table, a block of
+    rings at a time (64 KB, or one ring if larger), so no temporary is
+    mesh-sized; each line's last space becomes a newline, NULs are dropped."""
+    n = nt * nu
+    width = len(str(n))
+    # rows 0..n are the ids, then ring 0 again for the seam
+    digits = np.full((n + 1 + nu, width + 1), ord(" "), dtype=np.uint8)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     for k in range(width):
         place = 10 ** (width - 1 - k)
-        digits[:, k] = np.where(ids >= place, ids // place % 10 + ord("0"), 0)
-    lines = np.empty((len(quads), 2 + 4 * (width + 1)), dtype=np.uint8)
-    lines[:, :2] = np.frombuffer(b"f ", dtype=np.uint8)
-    # the ids are in range by construction; mode="raise" would gather into
-    # a temporary buffer first, "clip" writes straight into the lines
-    np.take(digits, quads, axis=0, out=lines[:, 2:].reshape(len(quads), 4, width + 1), mode="clip")
-    lines[:, -1] = ord("\n")
-    return lines[lines != 0].tobytes()
+        digits[:n + 1, k] = np.resize(np.repeat(digit[:n // place + 1], place), n + 1)
+        digits[:place, k] = 0
+    digits[n + 1:] = digits[1:nu + 1]
+    ids = digits[1:].view("V%d" % (width + 1)).reshape(nt + 1, nu)
+    per_block = max(1, 65536 // ((nu - 1) * (4 * width + 6)))
+    lines = np.empty((min(per_block, nt), nu - 1, 4 * width + 6), dtype=np.uint8)
+    lines[..., :2] = np.frombuffer(b"f ", dtype=np.uint8)
+    slots = lines[..., 2:].view(ids.dtype)
+    blocks = []
+    for i in range(0, nt, per_block):
+        rings = min(per_block, nt - i)
+        slots[:rings, :, 0] = ids[i:i + rings, :-1]
+        slots[:rings, :, 1] = ids[i + 1:i + 1 + rings, :-1]
+        slots[:rings, :, 2] = ids[i + 1:i + 1 + rings, 1:]
+        slots[:rings, :, 3] = ids[i:i + rings, 1:]
+        lines[:rings, :, -1] = ord("\n")
+        blocks.append(lines[:rings].tobytes().translate(None, b"\0"))
+    return b"".join(blocks)
 
 
 def _atomic_write(path: str, data: bytes):
@@ -241,12 +253,8 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     radii = profile_jet(p, u_values)[0]
     heights = eval_g(p, u_values, spec.u_ref)
 
-    # 1-based ids of vertex (i, j) and of its neighbour (i + 1 mod nt, j);
-    # the face block is built first and its quads dropped, so they are not
-    # held beside the vertex text
-    here = np.arange(nt)[:, None] * nu + np.arange(1, nu)[None, :]
-    ahead = np.roll(here, -1, axis=0)
-    faces = _face_block(np.stack([here, ahead, ahead + 1, here + 1], axis=-1).reshape(-1, 4), nt * nu)
+    # ahead of the vertex text: after it, a 192x96 call took ~140 more minor page faults
+    faces = _face_block(nt, nu)
 
     # x and y of ring i are +-|cos t_i| radii and +-|sin t_i| radii.  The
     # radii are square roots, so >= 0 (a NaN is refused by _fmt), and
@@ -283,6 +291,14 @@ def sample_table_csv(
     projected coordinates, full double precision."""
     points = np.asarray(grid, dtype=float).reshape(-1, 2)
     z, _, _ = plane_map(p, params, points[:, 0], points[:, 1])
-    text = ("t,u,x,y\n" + "%s,%s,%s,%s\n" * len(points)) % tuple(_fmt(np.column_stack([points, z.real, z.imag])))
+    fields = np.column_stack([points, z.real, z.imag])
+    if not np.isfinite(fields).all():
+        _fmt(fields)  # raises, naming the first non-finite field in row order
+    # a grid repeats each t and u: format each bit pattern (so -0.0 too) once
+    keys, inverse = np.unique(fields[:, :2].view(np.int64), return_inverse=True)
+    cells = np.empty(fields.shape, dtype=object)
+    cells[:, :2] = np.array(_fmt(keys.view(float)), dtype=object)[inverse.reshape(-1, 2)]
+    cells[:, 2:] = np.array(_fmt(fields[:, 2:]), dtype=object).reshape(-1, 2)
+    text = ("t,u,x,y\n" + "%s,%s,%s,%s\n" * len(points)) % tuple(cells.ravel().tolist())
     _atomic_write(path, text.encode("ascii"))
     return {"path": path, "rows": len(points)}

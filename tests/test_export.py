@@ -423,6 +423,27 @@ class TestMeshObj:
         text = path.read_text()
         assert text[text.index("\nf ") + 1:] == "".join(line + "\n" for line in _per_face_lines(nt, nu))
 
+    # the face block goes in blocks of 65536 // ((nu - 1) * (4 * width + 6))
+    # rings: 5x96 is below one block, 31x96 exactly one, 32x96 one ring
+    # more, 192x96 and 1000x100 not a multiple of one, and a ring of 4x2500
+    # or 3x3334 fills a block; the first eight cover id widths 1 to 6
+    @pytest.mark.parametrize("nt, nu", [(3, 3), (3, 4), (3, 33), (3, 34), (10, 100), (4, 2500), (3, 3334),
+                                        (1000, 100), (5, 96), (31, 96), (32, 96), (192, 96)])
+    def test_face_block_matches_per_face_lines(self, nt, nu):
+        assert export_mod._face_block(nt, nu) == "".join(line + "\n" for line in _per_face_lines(nt, nu)).encode()
+
+    def test_face_block_peak_memory_below_three_outputs(self):
+        # the second call, so nothing built once per process counts; the
+        # joined blocks and the result are two outputs
+        export_mod._face_block(192, 96)
+        tracemalloc.start()
+        try:
+            faces = export_mod._face_block(192, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(faces)
+
     def test_no_nan_tokens_in_any_emitted_file(self, fig1, fig1_params, tmp_path):
         export_mesh_obj(fig1, MeshSpec(8, 8, DomainInterval(0.05, 2.0), 0.05), str(tmp_path / "clean.obj"))
         export_graticule_svg(
@@ -534,6 +555,32 @@ class TestSampleTableCsv:
         sample_table_csv(fig1, fig1_params, np.stack([t_grid, u_grid], axis=-1).reshape(-1, 2), str(tmp_path / "a.csv"))
         sample_table_csv(fig1, fig1_params, pairs, str(tmp_path / "b.csv"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_signed_zeros_and_repeats_match_per_row_loop(self, fig1, fig1_params, tmp_path):
+        # each column holds 0.0 and -0.0, which share a value but not a text
+        grid = [(0.0, 0.5), (-0.0, 0.5), (0.0, -0.0), (-0.0, 0.0), (0.7, -0.0), (0.7, 0.0), (-0.0, 1.25)] * 3
+        path = tmp_path / "zeros.csv"
+        sample_table_csv(fig1, fig1_params, grid, str(path))
+        text = path.read_text()
+        assert text == _per_row_csv(fig1, fig1_params, grid)
+        assert "\n-0.0,0.5," in text and ",-0.0," in text
+
+    def test_scattered_points_match_per_row_loop(self, fig1, fig1_params, tmp_path):
+        grid = np.random.default_rng(3).uniform([-3.0, 0.1], [3.0, 2.0], (50, 2))
+        path = tmp_path / "scattered.csv"
+        sample_table_csv(fig1, fig1_params, grid, str(path))
+        assert path.read_text() == _per_row_csv(fig1, fig1_params, grid)
+
+    # a non-finite t or u makes x and y non-finite too, and t and u are
+    # formatted by value: the error still names the first non-finite field
+    # in row order
+    @pytest.mark.parametrize("grid, name", [([(0.1, 1.0), (math.nan, 1.0), (math.inf, 1.5)], "nan"),
+                                            ([(0.1, math.inf), (math.nan, 1.0)], "inf")], ids=["t", "u"])
+    def test_non_finite_field_raises_before_writing(self, fig1, fig1_params, tmp_path, grid, name):
+        path = tmp_path / "bad.csv"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"value %s$" % name):
+            sample_table_csv(fig1, fig1_params, grid, str(path))
+        assert list(tmp_path.iterdir()) == []
 
 
 def _per_row_csv(p, params, grid):
