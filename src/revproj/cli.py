@@ -28,7 +28,6 @@ from .profile import (
     SurfacePoint,
     admissible_interval,
     make_quadratic_profile,
-    profile_jet,
     reference_interval,
 )
 from .projection import Branch, make_projection_params, project
@@ -45,31 +44,17 @@ def _finite_float(text):
     return value
 
 
-def _add_profile_flags(sub):
-    sub.add_argument("--c", type=_finite_float, required=True, help="coefficient c of f^2 = c u^2 + d u + k")
-    sub.add_argument("--d", type=_finite_float, required=True, help="coefficient d")
-    sub.add_argument("--k", type=_finite_float, required=True, help="coefficient k")
-
-
-def _add_params_flags(sub):
-    sub.add_argument("--c0", type=_finite_float, default=0.0, help="integration constant of b(t)")
-    sub.add_argument(
-        "--theta0-branch",
-        choices=("principal", "mirror"),
-        default="principal",
-        help="principal arcsin branch for theta0, or its supplement",
-    )
-    sub.add_argument("--case", choices=("a", "b"), default="a", help="solution branch")
-
-
-def _params_from_args(p, args):
-    return make_projection_params(
-        p,
-        c0=args.c0,
-        branch=Branch.CASE_A if args.case == "a" else Branch.CASE_B,
-        t_base=0.0,
-        mirror_theta0=args.theta0_branch == "mirror",
-    )
+def _inputs(args):
+    """The profile, map parameters and admissible u-window that a
+    subcommand's flags name, built in that order; params is None without
+    --case and the window None without --u0."""
+    p = make_quadratic_profile(args.c, args.d, args.k)
+    params = None
+    if hasattr(args, "case"):
+        branch = Branch.CASE_A if args.case == "a" else Branch.CASE_B
+        params = make_projection_params(p, c0=args.c0, branch=branch, mirror_theta0=args.theta0_branch == "mirror")
+    window = admissible_interval(p, DomainInterval(args.u0, args.u1)) if hasattr(args, "u0") else None
+    return p, params, window
 
 
 def _parse_grid(text):
@@ -84,8 +69,7 @@ def _parse_grid(text):
 
 
 def _cmd_project(args):
-    p = make_quadratic_profile(args.c, args.d, args.k)
-    params = _params_from_args(p, args)
+    p, params, _ = _inputs(args)
     q = project(p, params, SurfacePoint(args.t, args.u))
     # adding +0.0 folds IEEE negative zero into "0"
     print("%.12g %.12g" % (q.x + 0.0, q.y + 0.0))
@@ -93,8 +77,8 @@ def _cmd_project(args):
 
 
 def _cmd_verify(args):
-    p = make_quadratic_profile(args.c, args.d, args.k)
-    reports = verifier.verify_report(p, _params_from_args(p, args), args.grid, args.fd_step, args.seed)
+    p, params, _ = _inputs(args)
+    reports = verifier.verify_report(p, params, args.grid, args.fd_step, args.seed)
     print("%-42s %12s %12s %9s  %s" % ("check", "max", "mean", "tol", "status"))
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"
@@ -134,7 +118,7 @@ def _resolve_profile_arg(text):
         except ValueError:
             raise ValueError("--profile quadratic:c,d,k expects three numbers")
         p = make_quadratic_profile(c, d, k)
-        return GeneralProfile(evaluator=lambda u: profile_jet(p, u)[0], domain=reference_interval(p))
+        return GeneralProfile(evaluator=p.radius, domain=reference_interval(p))
     if text.startswith("csv:"):
         return _load_csv_profile(text[len("csv:"):])
     raise ValueError("--profile must be sphere, pseudosphere, quadratic:c,d,k or csv:PATH")
@@ -152,9 +136,7 @@ def _cmd_classify(args):
 
 
 def _cmd_export_graticule(args):
-    p = make_quadratic_profile(args.c, args.d, args.k)
-    params = _params_from_args(p, args)
-    u_range = admissible_interval(p, DomainInterval(args.u0, args.u1))
+    p, params, u_range = _inputs(args)
     spec = GraticuleSpec(
         t_range=(args.t0, args.t1),
         u_range=u_range,
@@ -168,8 +150,7 @@ def _cmd_export_graticule(args):
 
 
 def _cmd_export_mesh(args):
-    p = make_quadratic_profile(args.c, args.d, args.k)
-    u_range = admissible_interval(p, DomainInterval(args.u0, args.u1))
+    p, _, u_range = _inputs(args)
     u_ref = args.u_ref if args.u_ref is not None else u_range.lo
     spec = MeshSpec(t_divisions=args.t_div, u_divisions=args.u_div, u_range=u_range, u_ref=u_ref)
     summary = export_mesh_obj(p, spec, args.output)
@@ -178,9 +159,7 @@ def _cmd_export_mesh(args):
 
 
 def _cmd_table(args):
-    p = make_quadratic_profile(args.c, args.d, args.k)
-    params = _params_from_args(p, args)
-    u_range = admissible_interval(p, DomainInterval(args.u0, args.u1))
+    p, params, u_range = _inputs(args)
     nt, nu = args.grid
     t_values = np.linspace(args.t0, args.t1, nt)
     u_values = np.linspace(u_range.lo, u_range.hi, nu)
@@ -199,17 +178,26 @@ def _build_parser():
         description="Plane projections of surfaces of revolution with quadratic squared profile.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    coefficients = argparse.ArgumentParser(add_help=False)
+    coefficients.add_argument("--c", type=_finite_float, required=True, help="coefficient c of f^2 = c u^2 + d u + k")
+    coefficients.add_argument("--d", type=_finite_float, required=True, help="coefficient d")
+    coefficients.add_argument("--k", type=_finite_float, required=True, help="coefficient k")
+    map_flags = argparse.ArgumentParser(add_help=False, parents=[coefficients])
+    map_flags.add_argument("--c0", type=_finite_float, default=0.0, help="integration constant of b(t)")
+    map_flags.add_argument(
+        "--theta0-branch",
+        choices=("principal", "mirror"),
+        default="principal",
+        help="principal arcsin branch for theta0, or its supplement",
+    )
+    map_flags.add_argument("--case", choices=("a", "b"), default="a", help="solution branch")
 
-    sp = sub.add_parser("project", help="map one surface point to the plane")
-    _add_profile_flags(sp)
-    _add_params_flags(sp)
+    sp = sub.add_parser("project", parents=[map_flags], help="map one surface point to the plane")
     sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--u", type=_finite_float, required=True)
     sp.set_defaults(handler=_cmd_project)
 
-    sp = sub.add_parser("verify", help="run all residual checks, exit 0 iff every one passes")
-    _add_profile_flags(sp)
-    _add_params_flags(sp)
+    sp = sub.add_parser("verify", parents=[map_flags], help="run all residual checks, exit 0 iff every one passes")
     sp.add_argument("--grid", type=_parse_grid, default=(50, 50), help="NTxNU sample grid")
     sp.add_argument("--fd-step", type=_finite_float, default=1e-5)
     sp.add_argument("--seed", type=int, default=0, help="picks the start frac(seed phi) of the golden-ratio draws")
@@ -224,9 +212,7 @@ def _build_parser():
     sp.add_argument("--threshold", type=_finite_float, default=1e-4, help="bound on the misfit max|f^2 - fit|/|c_x|")
     sp.set_defaults(handler=_cmd_classify)
 
-    sp = sub.add_parser("export-graticule", help="write the projected graticule as SVG")
-    _add_profile_flags(sp)
-    _add_params_flags(sp)
+    sp = sub.add_parser("export-graticule", parents=[map_flags], help="write the projected graticule as SVG")
     sp.add_argument("--t0", type=_finite_float, default=0.0)
     sp.add_argument("--t1", type=_finite_float, default=math.pi)
     sp.add_argument("--u0", type=_finite_float, default=0.2)
@@ -237,8 +223,7 @@ def _build_parser():
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_export_graticule)
 
-    sp = sub.add_parser("export-mesh", help="write the embedded surface as Wavefront OBJ")
-    _add_profile_flags(sp)
+    sp = sub.add_parser("export-mesh", parents=[coefficients], help="write the embedded surface as Wavefront OBJ")
     sp.add_argument("--t-div", type=int, default=64)
     sp.add_argument("--u-div", type=int, default=32)
     sp.add_argument("--u0", type=_finite_float, default=0.05)
@@ -248,9 +233,7 @@ def _build_parser():
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_export_mesh)
 
-    sp = sub.add_parser("table", help="write a t,u,x,y sample table as CSV")
-    _add_profile_flags(sp)
-    _add_params_flags(sp)
+    sp = sub.add_parser("table", parents=[map_flags], help="write a t,u,x,y sample table as CSV")
     sp.add_argument("--grid", type=_parse_grid, default=(5, 5), help="NTxNU sample grid")
     sp.add_argument("--t0", type=_finite_float, default=0.0)
     sp.add_argument("--t1", type=_finite_float, default=math.pi)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearityViolation, DegenerateLine, IoFailure
-from .profile import DomainInterval, QuadraticProfile, eval_g, profile_jet
+from .profile import DomainInterval, QuadraticProfile, eval_g
 from .projection import ProjectionParams, plane_map
 from .verifier import check_meridian_straightness
 
@@ -250,7 +250,7 @@ def export_mesh_obj(p: QuadraticProfile, spec: MeshSpec, path: str) -> dict:
     t = 2 pi by wrapping the last ring of faces back to the first."""
     nt, nu = spec.t_divisions, spec.u_divisions
     u_values = np.linspace(spec.u_range.lo, spec.u_range.hi, nu)
-    radii = profile_jet(p, u_values)[0]
+    radii = p.radius(u_values)
     heights = eval_g(p, u_values, spec.u_ref)
 
     # ahead of the vertex text: after it, a 192x96 call took ~140 more minor page faults

@@ -86,6 +86,10 @@ class QuadraticProfile:
         """f(u)^2 = (c u + d) u + k at u, a float or a numpy array."""
         return (self.c * u + self.d) * u + self.k
 
+    def radius(self, u):
+        """f(u), without forming f'' as profile_jet does."""
+        return np.sqrt(self.radius_sq(u))
+
     @property
     def radius_sq_min(self) -> float:
         """m = f(u*)^2 = -delta/(4c), so that f^2 = c (u - u*)^2 + m."""
@@ -395,5 +399,5 @@ def gaussian_curvature(p: QuadraticProfile, u: float) -> float:
 
 def embed(p: QuadraticProfile, pt: SurfacePoint, u_ref: float):
     """3D embedding (f cos t, f sin t, g) with g anchored at u_ref."""
-    f, _, _ = profile_jet(p, pt.u)
+    f = p.radius(pt.u)
     return f * math.cos(pt.t), f * math.sin(pt.t), eval_g(p, pt.u, u_ref)

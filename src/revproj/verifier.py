@@ -154,7 +154,7 @@ def isometry_tolerance(
         return max(ANALYTIC_ISOMETRY_FLOOR, ANALYTIC_ISOMETRY_SAFETY * eps * max(1.0, p.sqrt_c * scale))
     bp = b_slope(params, p)  # b(t) = b' t + c0
     b_max = max(abs(bp * (t_span[0] - h) + params.c0), abs(bp * (t_span[1] + h) + params.c0))
-    f_max = max(profile_jet(p, u_span.lo - h)[0], profile_jet(p, u_span.hi + h)[0])
+    f_max = max(p.radius(u_span.lo - h), p.radius(u_span.hi + h))
     return FD_ISOMETRY_SAFETY * (eps * scale * (1.0 + b_max) / h + h * h * p.c * f_max / 6.0)
 
 
@@ -195,7 +195,7 @@ def check_local_isometry(
     else:
         du_norm = np.abs(plane_map(p, params, t, u + h)[0] - plane_map(p, params, t, u - h)[0]) / (2.0 * h)
         dt_norm = np.abs(plane_map(p, params, t + h, u)[0] - plane_map(p, params, t - h, u)[0]) / (2.0 * h)
-    f, _, _ = profile_jet(p, us)
+    f = p.radius(us)
 
     def point_at(i):
         return ts[i // nu], us[i % nu]
@@ -301,7 +301,7 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
         return _summarize("a(u): RK4 vs closed form", [0.0], lambda i: float(u0), ODE_ORACLE_BOUND)
     h = (u1 - u0) / n_steps
     u = u0 + 0.5 * h * np.arange(2 * n_steps + 1)  # nodes at even j
-    f = np.sqrt(p.radius_sq(u))
+    f = p.radius(u)
     q = -((2.0 * p.c * u + p.d) / f) / f  # -2 f'/f, f' = (f^2)'/(2f), to the bit
     q0, q_mid, q1 = q[:-1:2], q[1::2], q[2::2]
     # the stage values of a' over a'_i; the stage slopes of a' are q times them

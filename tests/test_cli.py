@@ -9,7 +9,22 @@ import pytest
 
 import revproj.cli as cli_mod
 import revproj.verifier as verifier_mod
-from revproj import Branch, ResidualReport, make_projection_params, make_quadratic_profile, verify_report
+from revproj import (
+    Branch,
+    DomainInterval,
+    GraticuleSpec,
+    MeshSpec,
+    ResidualReport,
+    SurfacePoint,
+    admissible_interval,
+    export_graticule_svg,
+    export_mesh_obj,
+    make_projection_params,
+    make_quadratic_profile,
+    project,
+    sample_table_csv,
+    verify_report,
+)
 from revproj.cli import cli_dispatch
 from helpers import subprocess_env
 
@@ -393,6 +408,17 @@ class TestExportCommands:
         assert np.all(np.abs(heights - math.sqrt(0.5) * run_u) <= 16.0 * np.finfo(float).eps * run_u)
         assert np.count_nonzero(heights == 0.0) == 64
 
+    def test_mesh_of_huge_radius_warns_nothing(self, capsys, tmp_path):
+        # f^2 = u^2 + 1e300: f'' = -delta/(4 f w) would overflow in f w,
+        # but the mesh reads f alone
+        out_path = tmp_path / "huge.obj"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "export-mesh", "--c", "1", "--d", "0", "--k", "1e300", "-o", str(out_path))
+        assert (code, err) == (0, ""), err
+        assert "2048 vertices" in out
+        assert sum(line.startswith("v ") for line in out_path.read_text().splitlines()) == 2048
+
     def test_mesh_anchors_at_clipped_lower_end(self, capsys, tmp_path):
         # f'(0) = 0 is u* for d = 0, so u0 = 0 is clipped to just above it:
         # the default anchor is the clipped end, where the height reads 0.0
@@ -453,6 +479,84 @@ class TestExportCommands:
                            "-o", str(tmp_path / "missing" / "t.csv"))
         assert code == 3
         assert "error:" in err
+
+
+class TestFlagsReachTheLibrary:
+    # case b, the mirrored theta0 and a negative c0 on a profile with c > 1,
+    # whose arc-length-feasible window clips [0, 5] to about [0, 0.571]
+    COEFFS = ("--c", "2", "--d", "0.5", "--k", "1")
+    MAP_FLAGS = ("--case", "b", "--theta0-branch", "mirror", "--c0", "-0.7")
+    WINDOW = ("--u0", "0", "--u1", "5")
+
+    @pytest.fixture
+    def inputs(self):
+        p = make_quadratic_profile(2, 0.5, 1)
+        params = make_projection_params(p, c0=-0.7, branch=Branch.CASE_B, mirror_theta0=True)
+        window = admissible_interval(p, DomainInterval(0.0, 5.0))
+        assert window.hi < 1.0
+        return p, params, window
+
+    def test_project(self, capsys, inputs):
+        p, params, _ = inputs
+        code, out, _ = run(capsys, "project", *self.COEFFS, *self.MAP_FLAGS, "--t", "0.4", "--u", "0.3")
+        q = project(p, params, SurfacePoint(0.4, 0.3))
+        assert (code, out) == (0, "%.12g %.12g\n" % (q.x + 0.0, q.y + 0.0))
+
+    def test_verify(self, capsys, inputs):
+        p, params, _ = inputs
+        code, out, _ = run(capsys, "verify", *self.COEFFS, *self.MAP_FLAGS, "--grid", "9x7", "--seed", "4")
+        reports = verify_report(p, params, (9, 7), 1e-5, 4)
+        rows = ["%-42s %12.3e %12.3e %9.0e  %s" % (rep.identity_name, rep.max_abs_residual, rep.mean_abs_residual,
+                                                    rep.bound, "pass" if rep.passed else "FAIL") for rep in reports]
+        assert out.splitlines()[1:-1] == rows
+        assert code == (0 if all(rep.passed for rep in reports) else 1)
+
+    def test_export_graticule(self, capsys, tmp_path, inputs):
+        p, params, window = inputs
+        code, _, err = run(capsys, "export-graticule", *self.COEFFS, *self.MAP_FLAGS, *self.WINDOW,
+                           "--samples", "11", "-o", str(tmp_path / "cli.svg"))
+        assert code == 0, err
+        spec = GraticuleSpec(t_range=(0.0, math.pi), u_range=window, samples_per_curve=11)
+        export_graticule_svg(p, params, spec, str(tmp_path / "lib.svg"))
+        assert (tmp_path / "cli.svg").read_bytes() == (tmp_path / "lib.svg").read_bytes()
+
+    def test_table(self, capsys, tmp_path, inputs):
+        p, params, window = inputs
+        code, _, err = run(capsys, "table", *self.COEFFS, *self.MAP_FLAGS, *self.WINDOW, "--t0", "-1", "--t1", "2",
+                           "--grid", "4x6", "-o", str(tmp_path / "cli.csv"))
+        assert code == 0, err
+        t, u = np.meshgrid(np.linspace(-1.0, 2.0, 4), np.linspace(window.lo, window.hi, 6), indexing="ij")
+        sample_table_csv(p, params, np.stack((t.ravel(), u.ravel()), axis=-1), str(tmp_path / "lib.csv"))
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_export_mesh_window_and_default_anchor(self, capsys, tmp_path, inputs):
+        p, _, window = inputs
+        code, _, err = run(capsys, "export-mesh", *self.COEFFS, *self.WINDOW, "--t-div", "12", "--u-div", "5",
+                           "-o", str(tmp_path / "cli.obj"))
+        assert code == 0, err
+        export_mesh_obj(p, MeshSpec(12, 5, window, window.lo), str(tmp_path / "lib.obj"))
+        assert (tmp_path / "cli.obj").read_bytes() == (tmp_path / "lib.obj").read_bytes()
+
+
+class TestFlagGroups:
+    @pytest.mark.parametrize("argv", [
+        ("project", "--t", "0", "--u", "1"),
+        ("verify",),
+        ("export-graticule", "-o", "g.svg"),
+        ("export-mesh", "-o", "m.obj"),
+        ("table", "-o", "t.csv"),
+    ])
+    def test_coefficients_are_required(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.rstrip().endswith("the following arguments are required: --c, --d, --k")
+
+    def test_export_mesh_takes_no_map_flags(self, capsys, tmp_path):
+        code, _, err = run(capsys, "export-mesh", "--c", "1", "--d", "0", "--k", "1", "--case", "a",
+                           "-o", str(tmp_path / "m.obj"))
+        assert code == 2
+        assert "unrecognized arguments: --case a" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsageErrors:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +21,12 @@ from revproj import (
     embed,
     eval_g,
     gaussian_curvature,
+    make_projection_params,
     make_quadratic_profile,
     profile_jet,
     reference_interval,
 )
+from revproj.verifier import check_local_isometry
 from helpers import random_profiles, subprocess_env
 
 
@@ -339,6 +342,29 @@ class TestEmbed:
                 x, y, _ = embed(p, pt, span.lo)
                 f, _, _ = profile_jet(p, pt.u)
                 assert abs(x * x + y * y - f * f) < 1e-12
+
+
+class TestRadius:
+    @settings(max_examples=100, deadline=None)
+    @given(profiles(), st.floats(-3.0, 3.0))
+    def test_is_profile_jets_f_to_the_bit(self, p, u):
+        us = np.linspace(u, u + 1.0, 7)
+        assert p.radius(u) == profile_jet(p, u)[0]
+        assert np.array_equal(p.radius(us), profile_jet(p, us)[0])
+
+    def test_huge_radius_reads_without_warning(self):
+        # f^2 = u^2 + 1e300: f'' = -delta/(4 f w) overflows in f w, which
+        # the readers of f alone no longer form
+        p = make_quadratic_profile(1, 0, 1e300)
+        params = make_projection_params(p)
+        span = reference_interval(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fd_step in (0.0, 1e-5):
+                check_local_isometry(p, params, span, nt=5, nu=5, fd_step=fd_step)
+            x, y, z = embed(p, SurfacePoint(math.pi / 2, 1.0), span.lo)
+        assert (x, y) == (p.radius(1.0) * math.cos(math.pi / 2), p.radius(1.0))
+        assert math.isfinite(z)
 
 
 class TestGeneralProfile:
