@@ -118,7 +118,7 @@ def _resolve_profile_arg(text):
         except ValueError:
             raise ValueError("--profile quadratic:c,d,k expects three numbers")
         p = make_quadratic_profile(c, d, k)
-        return GeneralProfile(evaluator=p.radius, domain=reference_interval(p))
+        return GeneralProfile.sample(p.radius, reference_interval(p))
     if text.startswith("csv:"):
         return _load_csv_profile(text[len("csv:"):])
     raise ValueError("--profile must be sphere, pseudosphere, quadratic:c,d,k or csv:PATH")

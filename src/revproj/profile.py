@@ -9,15 +9,16 @@ du^2 + f(u)^2 dt^2.  This module implements the family
 with all derivatives in closed form, the height function g from
 (f')^2 + (g')^2 = 1 in closed form (Carlson's symmetric elliptic
 integrals), the Gaussian curvature K = -f''/f, and the 3D embedding.  It
-also carries ``GeneralProfile``, an arbitrary sampled or callable radius
-function used by the existence classifier.
+also carries ``GeneralProfile``, an arbitrary radius function known by its
+rows (tabulated, or sampled from a function), used by the existence
+classifier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -104,21 +105,22 @@ class QuadraticProfile:
 
 @dataclass(frozen=True)
 class GeneralProfile:
-    """An arbitrary radius function u -> f(u) > 0 on a bounded domain.
+    """A radius function u -> f(u) > 0 known by its rows (u, f), the
+    ``table``, validated and copied at construction.  They are its only
+    data: ``domain`` runs from the first row to the last, and nothing reads
+    a profile between its rows.  Build one with :meth:`from_table` or
+    :meth:`sample`.
 
-    ``evaluator`` may be any scalar callable.  :meth:`from_table` builds a
-    profile from tabulated data instead: the rows (u, f) are kept as
-    ``table`` and are its only data, with ``evaluator`` None and the domain
-    running from the first row to the last.  Consumers read a table at its
-    rows and never between them; they test ``table``, not ``evaluator``.
+    Nothing here reads ``evaluator``: it stays while benchmark/tracing.py
+    rebuilds each table with ``dataclasses.replace(gp, evaluator=...)``.
     """
 
-    evaluator: Optional[Callable[[float], float]]
-    domain: DomainInterval
-    table: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
+    table: Tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    evaluator: object = None
+    domain: DomainInterval = field(init=False)
 
-    @classmethod
-    def from_table(cls, u_values, f_values) -> "GeneralProfile":
+    def __post_init__(self):
+        u_values, f_values = self.table
         # copies, so the kept rows cannot change under the caller
         u = np.array(u_values, dtype=float)
         f = np.array(f_values, dtype=float)
@@ -131,7 +133,19 @@ class GeneralProfile:
             raise ValueError("table u-values must be strictly increasing")
         if not np.all(f > 0):
             raise ValueError("table f-values must be positive")
-        return cls(evaluator=None, domain=DomainInterval(float(u[0]), float(u[-1])), table=(u, f))
+        u.flags.writeable = f.flags.writeable = False  # validated once, so kept as validated
+        object.__setattr__(self, "table", (u, f))
+        object.__setattr__(self, "domain", DomainInterval(float(u[0]), float(u[-1])))
+
+    @classmethod
+    def from_table(cls, u_values, f_values) -> "GeneralProfile":
+        return cls((u_values, f_values))
+
+    @classmethod
+    def sample(cls, fn, domain: DomainInterval, n: int = 200) -> "GeneralProfile":
+        """The rows of fn, called once at each of n equispaced points of domain."""
+        u = np.linspace(domain.lo, domain.hi, n)
+        return cls.from_table(u, [fn(x) for x in u])
 
 
 def make_quadratic_profile(c: float, d: float, k: float) -> QuadraticProfile:

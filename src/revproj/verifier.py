@@ -349,24 +349,23 @@ def verify_report(p: QuadraticProfile, params: ProjectionParams, grid, fd_step: 
     return reports
 
 
-# Built-in profiles exercising both non-existence regimes: positive curvature
-# (unit sphere, f = cos u) and constant negative curvature (pseudosphere,
-# f = e^u for u < 0).
+# Built-in profiles exercising both non-existence regimes, as 200 equispaced
+# rows each: positive curvature (unit sphere, f = cos u) and constant
+# negative curvature (pseudosphere, f = e^u for u < 0).
 BUILTIN_PROFILES = {
-    "sphere": GeneralProfile(evaluator=math.cos, domain=DomainInterval(0.2, 1.2)),
-    "pseudosphere": GeneralProfile(evaluator=math.exp, domain=DomainInterval(-2.0, -0.5)),
+    "sphere": GeneralProfile.sample(math.cos, DomainInterval(0.2, 1.2)),
+    "pseudosphere": GeneralProfile.sample(math.exp, DomainInterval(-2.0, -0.5)),
 }
 
 
-def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: float = 1e-4) -> ExistenceVerdict:
+def existence_classifier(gp: GeneralProfile, threshold: float = 1e-4) -> ExistenceVerdict:
     """Decide whether a length-preserving, meridian-straightening plane map
     can exist for the profile: iff f^2 is a quadratic in u with c > 0, a
     negative discriminant and u* = -d/(2c) off the domain.
 
-    f^2, at the rows of a table profile or else at n_samples equispaced
-    points, is least-squares fitted by c_x x^2 + d_x x + k_x in
-    x = (u - lo)/W, W the domain width.  The first gate that rejects is the
-    verdict's ``gate``:
+    f^2 at the profile's rows is least-squares fitted by
+    c_x x^2 + d_x x + k_x in x = (u - lo)/W, W the domain width.  The first
+    gate that rejects is the verdict's ``gate``:
 
     * ``residual``: max|f^2 - fit| < threshold |c_x| + the rounding floor
       CLASSIFIER_ROUNDING_FLOOR eps max f^2, so the threshold bounds the
@@ -383,19 +382,11 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
     overflows nor underflows on any finite domain.  ValueError if max f^2
     or a fitted coefficient overflows.
     """
-    if n_samples < 10:
-        raise ValueError("classifier needs n_samples >= 10")
     # no misfit falls below a threshold <= 0, and every one passes NaN
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError("classifier threshold must be positive and finite, got %r" % threshold)
     lo, width = gp.domain.lo, gp.domain.width
-    if gp.table is None:
-        us = np.linspace(lo, gp.domain.hi, n_samples)
-        f_vals = np.array([gp.evaluator(u) for u in us])
-    else:
-        us, f_vals = gp.table
-    if not np.all(f_vals > 0):
-        raise ValueError("profile must be positive on its domain")
+    us, f_vals = gp.table
     e = math.frexp(np.max(f_vals))[1]  # max f < 2^e, so max f^2 < 4^e
     if e > 512:
         raise ValueError("f^2 overflows: max f = %g" % np.max(f_vals))
@@ -429,19 +420,22 @@ def existence_classifier(gp: GeneralProfile, n_samples: int = 200, threshold: fl
     return ExistenceVerdict(gate, misfit, tuple(map(float, fitted)), curvature_range)
 
 
-def _row_curvature(u, f):
-    """K = w'^2/(4 w^2) - w''/(2 w), w = f^2, at the interior rows u[2:-2]
-    of a table, with w, w' and w'' read off the least-squares quadratic of
-    w over the 5-row window centred on each row: a Savitzky-Golay
-    derivative (A. Savitzky and M. J. E. Golay, Anal. Chem. 36 (1964)
-    1627-1639) that holds on uneven rows.  Each window's abscissae are
-    measured from its centre row in units of its half-width before the 3x3
-    normal equations are solved, so they stay in [-1, 1] at any scale and
-    K lambda^2 does not move under u -> lambda u, f -> lambda f; f is first
-    divided by 2^e > max f and u by 2^s > max|u|, exactly, so that w * w
-    and half * half stay finite, and K is multiplied back by 4^-s.  It is
-    the classifier's own quadratic model, so an admissible table gives its K
-    to rounding."""
+def curvature_report(gp: GeneralProfile):
+    """(K_min, K_max) of the profile over its interior rows u[2:-2].
+
+    K = w'^2/(4 w^2) - w''/(2 w), w = f^2, with w, w' and w'' read off the
+    least-squares quadratic of w over the 5-row window centred on each row:
+    a Savitzky-Golay derivative (A. Savitzky and M. J. E. Golay, Anal.
+    Chem. 36 (1964) 1627-1639) that holds on uneven rows.  Each window's
+    abscissae are measured from its centre row in units of its half-width
+    before the 3x3 normal equations are solved, so they stay in [-1, 1] at
+    any scale and K lambda^2 does not move under u -> lambda u,
+    f -> lambda f; f is first divided by 2^e > max f and u by
+    2^s > max|u|, exactly, so that w * w and half * half stay finite, and K
+    is multiplied back by 4^-s.  It is the classifier's own quadratic model,
+    so an admissible table gives its K to rounding; on rows of a smooth
+    non-quadratic f it misses the window's O(h^2) terms."""
+    u, f = gp.table
     windows = np.lib.stride_tricks.sliding_window_view
     f = np.ldexp(f, -math.frexp(np.max(f))[1])
     s = math.frexp(np.max(np.abs(u)))[1]
@@ -453,24 +447,5 @@ def _row_curvature(u, f):
     moments = np.einsum("mri,mr->mi", basis, windows(f * f, 5))
     w, wx, wxx = np.linalg.solve(normal, moments[..., None])[..., 0].T
     w1, w2 = wx / half, 2.0 * wxx / (half * half)
-    return np.ldexp(w1 * w1 / (4.0 * w * w) - w2 / (2.0 * w), -2 * s)
-
-
-def curvature_report(gp: GeneralProfile):
-    """(K_min, K_max) of the profile over its domain.
-
-    * A table: ``_row_curvature`` at its interior rows.
-    * A callable: K = -f''/f at 101 points of the domain, with f'' from
-      the fourth-order five-point stencil (O(h^2) differences cannot reach
-      ~1e-10) at step W/200, W the domain width, so that K W^2 does not
-      move under u -> lambda u, f -> lambda f; samples are inset by the
-      stencil width.
-    """
-    if gp.table is not None:
-        ks = _row_curvature(*gp.table)
-    else:
-        h = gp.domain.width / 200.0
-        us = np.linspace(gp.domain.lo + 2 * h, gp.domain.hi - 2 * h, 101)
-        f = np.array([[gp.evaluator(u + j * h) for u in us] for j in (2, 1, 0, -1, -2)])
-        ks = -((-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)) / f[2]
+    ks = np.ldexp(w1 * w1 / (4.0 * w * w) - w2 / (2.0 * w), -2 * s)
     return float(np.min(ks)), float(np.max(ks))

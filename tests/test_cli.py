@@ -230,11 +230,20 @@ class TestClassifyCommand:
         assert "fitted:" in out
 
     @pytest.mark.parametrize("profile, expected", [
-        ("sphere", "exists: false\ngate: residual\nmisfit: 0.195196\ncurvature_range: [1, 1]\n"),
-        ("pseudosphere", "exists: false\ngate: residual\nmisfit: 0.0592\ncurvature_range: [-1, -1]\n"),
+        # K = 1 and K = -1 as their 200 rows' 5-row estimates give them
+        ("sphere", "exists: false\ngate: residual\nmisfit: 0.195196\ncurvature_range: [0.999481, 0.999959]\n"),
+        ("pseudosphere", "exists: false\ngate: residual\nmisfit: 0.0592\ncurvature_range: [-0.99991, -0.99991]\n"),
     ])
     def test_builtin_output(self, capsys, profile, expected):
         assert run(capsys, "classify", "--profile", profile) == (1, expected, "")
+
+    @pytest.mark.parametrize("profile", ["sphere", "pseudosphere", "quadratic:1,0,1"])
+    def test_named_profile_is_its_rows(self, capsys, tmp_path, profile):
+        # a named profile prints exactly what its own rows print from a CSV
+        u, f = cli_mod._resolve_profile_arg(profile).table
+        path = tmp_path / "rows.csv"
+        path.write_text("u,f\n" + "".join("%r,%r\n" % (float(a), float(b)) for a, b in zip(u, f)))
+        assert run(capsys, "classify", "--profile", profile) == run(capsys, "classify", "--profile", "csv:%s" % path)
 
     def test_quadratic_output(self, capsys):
         # its misfit and fitted d are rounding noise, so only these lines are pinned
@@ -242,7 +251,8 @@ class TestClassifyCommand:
         lines = out.splitlines()
         assert code == 0
         assert lines[:2] == ["exists: true", "gate: admissible"]
-        assert lines[-1] == "curvature_range: [-0.911322, -0.041172]"
+        # the exact K = -1/(u^2 + 1)^2 at rows 2 and n - 3 of its 200 rows
+        assert lines[-1] == "curvature_range: [-0.911254, -0.0411779]"
 
     def test_output_lines(self, capsys):
         _, out, _ = run(capsys, "classify", "--profile", "sphere")

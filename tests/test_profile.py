@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -397,6 +398,27 @@ class TestGeneralProfile:
         assert (gp.domain.lo, gp.domain.hi) == (0.2, 2.0)
         # the rows are the profile's only data: nothing evaluates between them
         assert gp.evaluator is None
+
+    def test_needs_rows(self):
+        # a function and a domain are no profile, and the domain is the rows'
+        with pytest.raises(TypeError):
+            GeneralProfile(math.cos, DomainInterval(0.2, 1.2))
+        with pytest.raises(TypeError):
+            GeneralProfile(evaluator=math.cos, domain=DomainInterval(0.2, 1.2))
+        gp = GeneralProfile.sample(math.cos, DomainInterval(0.2, 1.2))
+        with pytest.raises(ValueError):
+            dataclasses.replace(gp, domain=DomainInterval(0.0, 1.0))
+        # nor can its validated rows change after construction
+        with pytest.raises(ValueError):
+            gp.table[1][0] = -1.0
+
+    def test_sample_calls_once_per_row(self):
+        calls = []
+        gp = GeneralProfile.sample(lambda u: calls.append(u) or math.cos(u), DomainInterval(0.2, 1.2), n=7)
+        u = np.linspace(0.2, 1.2, 7)
+        assert calls == list(u)
+        assert np.array_equal(gp.table[0], u) and np.array_equal(gp.table[1], [math.cos(x) for x in u])
+        assert (gp.domain.lo, gp.domain.hi) == (0.2, 1.2)
 
 
 def test_import_loads_no_scipy():

@@ -289,15 +289,19 @@ class TestExistenceClassifier:
         verdict = existence_classifier(BUILTIN_PROFILES["sphere"])
         assert not verdict.exists
         assert verdict.fitted is None
-        assert verdict.curvature_range == pytest.approx((1.0, 1.0), abs=1e-6)
+        # the 200 rows' 5-row estimate of K = 1 (see test_sphere_is_unit_positive)
+        assert verdict.curvature_range == pytest.approx((0.999481, 0.999959), abs=1e-6)
 
     def test_pseudosphere_profile_rejected(self):
         verdict = existence_classifier(BUILTIN_PROFILES["pseudosphere"])
         assert not verdict.exists
-        assert verdict.curvature_range == pytest.approx((-1.0, -1.0), abs=1e-6)
+        # the 200 rows' 5-row estimate of K = -1: the fit's O(h^2) truncation at
+        # h = W/199, h^2 (17/60 w' w'''/w^2 - 31/168 w''''/w) = 1.58 h^2 = 9.0e-5
+        assert verdict.curvature_range == pytest.approx((-0.99991, -0.99991), abs=1e-6)
+        assert verdict.curvature_range == pytest.approx((-1.0, -1.0), abs=9.0e-5)
 
     def test_quadratic_radius_accepted_and_fitted(self):
-        gp = GeneralProfile(lambda u: math.sqrt(u * u + 1.0), DomainInterval(0.2, 2.0))
+        gp = GeneralProfile.sample(lambda u: math.sqrt(u * u + 1.0), DomainInterval(0.2, 2.0))
         verdict = existence_classifier(gp)
         assert verdict.exists
         assert verdict.fitted == pytest.approx((1.0, 0.0, 1.0), abs=1e-6)
@@ -320,14 +324,14 @@ class TestExistenceClassifier:
 
     def test_flat_cone_rejected_by_discriminant(self):
         # f linear in u: f^2 is a perfect-square quadratic, discriminant 0
-        gp = GeneralProfile(lambda u: 2.0 + 0.5 * u, DomainInterval(0.0, 1.0))
+        gp = GeneralProfile.sample(lambda u: 2.0 + 0.5 * u, DomainInterval(0.0, 1.0))
         verdict = existence_classifier(gp)
         assert not verdict.exists
         assert verdict.gate == "coefficients"
         assert verdict.fitted is not None
 
     def test_cylinder_rejected_by_vanishing_c(self):
-        gp = GeneralProfile(lambda u: 1.5, DomainInterval(0.0, 1.0))
+        gp = GeneralProfile.sample(lambda u: 1.5, DomainInterval(0.0, 1.0))
         verdict = existence_classifier(gp)
         assert not verdict.exists
         assert verdict.gate == "coefficients"
@@ -335,7 +339,7 @@ class TestExistenceClassifier:
     def test_interior_zero_slope_rejected(self):
         # f^2 = (u-1)^2 + 1 is admissible as a quadratic but its slope
         # vanishes inside the domain
-        gp = GeneralProfile(lambda u: math.sqrt((u - 1.0) ** 2 + 1.0), DomainInterval(0.0, 2.0))
+        gp = GeneralProfile.sample(lambda u: math.sqrt((u - 1.0) ** 2 + 1.0), DomainInterval(0.0, 2.0))
         verdict = existence_classifier(gp)
         assert not verdict.exists
         assert verdict.gate == "u_star_inside"
@@ -352,7 +356,7 @@ class TestExistenceClassifier:
     def test_round_trip_recovers_coefficients(self):
         for p in random_profiles(23, 20):
             span = reference_interval(p)
-            gp = GeneralProfile(lambda u, p=p: profile_jet(p, u)[0], span)
+            gp = GeneralProfile.sample(lambda u, p=p: profile_jet(p, u)[0], span)
             verdict = existence_classifier(gp)
             assert verdict.exists
             c, d, k = verdict.fitted
@@ -361,10 +365,11 @@ class TestExistenceClassifier:
             assert abs(k - p.k) <= 1e-6 * abs(p.k)
 
     def test_verdict_invariant_under_resampling(self):
-        for gp in (BUILTIN_PROFILES["sphere"], BUILTIN_PROFILES["pseudosphere"],
-                   GeneralProfile(lambda u: math.sqrt(u * u + 1.0), DomainInterval(0.2, 2.0))):
-            v1 = existence_classifier(gp, n_samples=150)
-            v2 = existence_classifier(gp, n_samples=300)
+        for fn, span in ((math.cos, BUILTIN_PROFILES["sphere"].domain),
+                         (math.exp, BUILTIN_PROFILES["pseudosphere"].domain),
+                         (lambda u: math.sqrt(u * u + 1.0), DomainInterval(0.2, 2.0))):
+            v1 = existence_classifier(GeneralProfile.sample(fn, span, n=150))
+            v2 = existence_classifier(GeneralProfile.sample(fn, span, n=300))
             assert v1.exists == v2.exists
 
     def test_tabulated_input(self):
@@ -380,7 +385,7 @@ class TestExistenceClassifier:
         # u -> lam u, f -> lam f rescales the surface; (exists, gate) must not move
         lam = 10.0**log_lam
         for (f1, lo, hi), gate in HOMOTHETY_CASES:
-            gp = GeneralProfile(lambda u, f1=f1: lam * f1(u / lam), DomainInterval(lam * lo, lam * hi))
+            gp = GeneralProfile.sample(lambda u, f1=f1: lam * f1(u / lam), DomainInterval(lam * lo, lam * hi))
             verdict = existence_classifier(gp)
             assert (verdict.exists, verdict.gate) == (gate == "admissible", gate), (f1, lo, hi, lam)
 
@@ -407,8 +412,9 @@ class TestExistenceClassifier:
             assert verdict.exists == (gate == "admissible")
 
     def test_sample_count_validated(self):
+        # fewer rows than one 5-row curvature window
         with pytest.raises(ValueError):
-            existence_classifier(BUILTIN_PROFILES["sphere"], n_samples=5)
+            GeneralProfile.sample(math.cos, DomainInterval(0.2, 1.2), 4)
 
 
 class TestCurvatureReport:
@@ -420,18 +426,24 @@ class TestCurvatureReport:
         assert k_max < 0.0
 
     def test_sphere_is_unit_positive(self):
+        # K = 1 to the 5-row fit's O(h^2) truncation at h = W/199,
+        # h^2 (17/60 w' w'''/w^2 - 31/168 w''''/w) with w = f^2: at most
+        # 20.6 h^2 = 5.2e-4 on these rows
         k_min, k_max = curvature_report(BUILTIN_PROFILES["sphere"])
-        assert k_min == pytest.approx(1.0, abs=1e-9)
-        assert k_max == pytest.approx(1.0, abs=1e-9)
+        assert (k_min, k_max) == pytest.approx((0.999481, 0.999959), abs=1e-6)
+        assert k_min == pytest.approx(1.0, abs=5.2e-4)
+        assert k_max == pytest.approx(1.0, abs=5.2e-4)
         assert not k_max < 0.0
 
     @pytest.mark.parametrize("lam", [1e-2, 0.3, 1.0, 50.0, 1e3])
     def test_scaled_sphere_curvature(self, lam):
-        # f = lam cos(u/lam) is the sphere of radius lam: K lam^2 = 1 at every scale
-        gp = GeneralProfile(lambda u: lam * math.cos(u / lam), DomainInterval(0.2 * lam, 1.2 * lam))
+        # f = lam cos(u/lam) is the sphere of radius lam: K lam^2 is the unit
+        # sphere's row estimate at every scale
+        gp = GeneralProfile.sample(lambda u: lam * math.cos(u / lam), DomainInterval(0.2 * lam, 1.2 * lam))
         k_min, k_max = curvature_report(gp)
-        assert abs(k_min * lam * lam - 1.0) < 1e-8
-        assert abs(k_max * lam * lam - 1.0) < 1e-8
+        base_min, base_max = curvature_report(BUILTIN_PROFILES["sphere"])
+        assert abs(k_min * lam * lam - base_min) < 1e-8
+        assert abs(k_max * lam * lam - base_max) < 1e-8
 
     @pytest.mark.parametrize("f, lo, hi, k_range", [
         (np.cos, 0.2, 1.2, (0.989546, 0.998954)),  # unit sphere, K = 1
@@ -479,9 +491,9 @@ class TestCurvatureReport:
         u = np.linspace(0.2, 4.0, 20)
         f = np.sqrt(u * u + 1.0)
         with np.errstate(over="raise", invalid="raise"):
-            scaled = verifier_mod._row_curvature(np.ldexp(u, 520), np.ldexp(f, 520))
-        assert np.all(scaled < 0.0)
-        assert np.array_equal(scaled, np.ldexp(verifier_mod._row_curvature(u, f), -1040))
+            scaled = curvature_report(GeneralProfile.from_table(np.ldexp(u, 520), np.ldexp(f, 520)))
+        assert scaled[1] < 0.0
+        assert scaled == tuple(np.ldexp(curvature_report(GeneralProfile.from_table(u, f)), -1040))
 
     def test_always_negative_for_admissible_profiles(self):
         p = make_quadratic_profile(1, 1, 1)
