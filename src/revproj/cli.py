@@ -46,14 +46,19 @@ def _finite_float(text):
 
 def _inputs(args):
     """The profile, map parameters and admissible u-window that a
-    subcommand's flags name, built in that order; params is None without
-    --case and the window None without --u0."""
+    subcommand's flags name, in that order; params is None without --case and
+    the window without --u0/--u1, where a missing end is reference_interval(p)'s."""
     p = make_quadratic_profile(args.c, args.d, args.k)
-    params = None
+    params = window = None
     if hasattr(args, "case"):
         branch = Branch.CASE_A if args.case == "a" else Branch.CASE_B
         params = make_projection_params(p, c0=args.c0, branch=branch, mirror_theta0=args.theta0_branch == "mirror")
-    window = admissible_interval(p, DomainInterval(args.u0, args.u1)) if hasattr(args, "u0") else None
+    if hasattr(args, "u0"):
+        lo, hi = args.u0, args.u1
+        if lo is None or hi is None:  # only then: far from u* the chart can be empty
+            chart = reference_interval(p)
+            lo, hi = chart.lo if lo is None else lo, chart.hi if hi is None else hi
+        window = admissible_interval(p, DomainInterval(lo, hi))
     return p, params, window
 
 
@@ -137,13 +142,8 @@ def _cmd_classify(args):
 
 def _cmd_export_graticule(args):
     p, params, u_range = _inputs(args)
-    spec = GraticuleSpec(
-        t_range=(args.t0, args.t1),
-        u_range=u_range,
-        n_meridians=args.meridians,
-        n_parallels=args.parallels,
-        samples_per_curve=args.samples,
-    )
+    spec = GraticuleSpec(t_range=(args.t0, args.t1), u_range=u_range, n_meridians=args.meridians,
+                         n_parallels=args.parallels, samples_per_curve=args.samples)
     summary = export_graticule_svg(p, params, spec, args.output)
     print("wrote %s: %d meridians, %d parallels" % (summary["path"], summary["meridians"], summary["parallels"]))
     return 0
@@ -191,6 +191,11 @@ def _build_parser():
         help="principal arcsin branch for theta0, or its supplement",
     )
     map_flags.add_argument("--case", choices=("a", "b"), default="a", help="solution branch")
+    u_window = argparse.ArgumentParser(add_help=False)
+    end = ("%s end of the u-window; default: that end of the chart verify certifies, u* + [0.2, 2] for c <= 1, "
+           "else the middle of the feasible window's upper half")
+    u_window.add_argument("--u0", type=_finite_float, help=end % "lower")
+    u_window.add_argument("--u1", type=_finite_float, help=end % "upper")
 
     sp = sub.add_parser("project", parents=[map_flags], help="map one surface point to the plane")
     sp.add_argument("--t", type=_finite_float, required=True)
@@ -212,33 +217,27 @@ def _build_parser():
     sp.add_argument("--threshold", type=_finite_float, default=1e-4, help="bound on the misfit max|f^2 - fit|/|c_x|")
     sp.set_defaults(handler=_cmd_classify)
 
-    sp = sub.add_parser("export-graticule", parents=[map_flags], help="write the projected graticule as SVG")
+    sp = sub.add_parser("export-graticule", parents=[map_flags, u_window], help="write the projected graticule as SVG")
     sp.add_argument("--t0", type=_finite_float, default=0.0)
     sp.add_argument("--t1", type=_finite_float, default=math.pi)
-    sp.add_argument("--u0", type=_finite_float, default=0.2)
-    sp.add_argument("--u1", type=_finite_float, default=2.0)
     sp.add_argument("--meridians", type=int, default=9)
     sp.add_argument("--parallels", type=int, default=5)
     sp.add_argument("--samples", type=int, default=64)
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_export_graticule)
 
-    sp = sub.add_parser("export-mesh", parents=[coefficients], help="write the embedded surface as Wavefront OBJ")
+    sp = sub.add_parser("export-mesh", parents=[coefficients, u_window], help="write the embedded surface as Wavefront OBJ")
     sp.add_argument("--t-div", type=int, default=64)
     sp.add_argument("--u-div", type=int, default=32)
-    sp.add_argument("--u0", type=_finite_float, default=0.05)
-    sp.add_argument("--u1", type=_finite_float, default=2.0)
     sp.add_argument("--u-ref", type=_finite_float, default=None,
                     help="height anchor; defaults to the lower end of the admissible u-window, u0 after clipping")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_export_mesh)
 
-    sp = sub.add_parser("table", parents=[map_flags], help="write a t,u,x,y sample table as CSV")
+    sp = sub.add_parser("table", parents=[map_flags, u_window], help="write a t,u,x,y sample table as CSV")
     sp.add_argument("--grid", type=_parse_grid, default=(5, 5), help="NTxNU sample grid")
     sp.add_argument("--t0", type=_finite_float, default=0.0)
     sp.add_argument("--t1", type=_finite_float, default=math.pi)
-    sp.add_argument("--u0", type=_finite_float, default=0.2)
-    sp.add_argument("--u1", type=_finite_float, default=2.0)
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_table)
 

@@ -103,19 +103,19 @@ class QuadraticProfile:
         return math.sqrt(self.k) / self.sqrt_c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralProfile:
     """A radius function u -> f(u) > 0 known by its rows (u, f), the
     ``table``, validated and copied at construction.  They are its only
     data: ``domain`` runs from the first row to the last, and nothing reads
     a profile between its rows.  Build one with :meth:`from_table` or
-    :meth:`sample`.
+    :meth:`sample`.  A profile equals only itself.
 
     Nothing here reads ``evaluator``: it stays while benchmark/tracing.py
     rebuilds each table with ``dataclasses.replace(gp, evaluator=...)``.
     """
 
-    table: Tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    table: Tuple[np.ndarray, np.ndarray] = field(repr=False)
     evaluator: object = None
     domain: DomainInterval = field(init=False)
 
@@ -236,16 +236,15 @@ def admissible_interval(p: QuadraticProfile, requested: DomainInterval) -> Domai
     return DomainInterval(lo, hi)
 
 
-def reference_interval(p: QuadraticProfile, span: float = 1.8, margin: float = 0.2) -> DomainInterval:
-    """A representative admissible interval on the upper side of u*, used as
-    the default chart for checks and exports.  For c <= 1 this is
-    [u* + margin, u* + margin + span]; for c > 1 the feasibility window is
-    bounded and the middle of its upper half is used instead."""
+def reference_interval(p: QuadraticProfile) -> DomainInterval:
+    """A representative admissible interval on the upper side of u*, the
+    default chart of checks and exports.  For c <= 1 this is
+    [u* + 0.2, u* + 2]; for c > 1 the feasibility window is bounded and the
+    middle of its upper half is used instead."""
     us = p.singular_u
     if p.c <= 1.0:
-        return admissible_interval(p, DomainInterval(us + margin, us + margin + span))
-    _, feas_hi = slope_feasible_span(p)
-    half = feas_hi - us
+        return admissible_interval(p, DomainInterval(us + 0.2, us + 0.2 + 1.8))
+    half = slope_feasible_span(p)[1] - us
     return admissible_interval(p, DomainInterval(us + 0.10 * half, us + 0.85 * half))
 
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import revproj.cli as cli_mod
 import revproj.verifier as verifier_mod
@@ -22,6 +23,7 @@ from revproj import (
     make_projection_params,
     make_quadratic_profile,
     project,
+    reference_interval,
     sample_table_csv,
     verify_report,
 )
@@ -546,6 +548,102 @@ class TestFlagsReachTheLibrary:
         assert code == 0, err
         export_mesh_obj(p, MeshSpec(12, 5, window, window.lo), str(tmp_path / "lib.obj"))
         assert (tmp_path / "cli.obj").read_bytes() == (tmp_path / "lib.obj").read_bytes()
+
+
+def window_of(*argv):
+    """The u-window cli._inputs builds from argv."""
+    return cli_mod._inputs(cli_mod._build_parser().parse_args(cli_mod._join_negative_values(list(argv))))[2]
+
+
+def default_outputs(tmp_dir, c, d, k):
+    """Each emitter's default output on (c, d, k): the mesh's vertices and
+    the table's rows, parsed."""
+    coeffs = ("--c", repr(c), "--d", repr(d), "--k", repr(k))
+    mesh, table = tmp_dir / "m.obj", tmp_dir / "t.csv"
+    assert cli_dispatch(["export-mesh", *coeffs, "-o", str(mesh)]) == 0
+    assert cli_dispatch(["table", *coeffs, "-o", str(table)]) == 0
+    vertices = np.array([[float(v) for v in line.split()[1:]] for line in mesh.read_text().splitlines()
+                         if line.startswith("v ")])
+    return vertices, np.loadtxt(table, delimiter=",", skiprows=1)
+
+
+def f_sq_term_scale(c, d, k):
+    """The largest (|c u^2| + |d u| + k)/f on the default chart: the size of
+    the terms of f^2 at u, carried to f, so eps times it is the rounding of f."""
+    chart = reference_interval(make_quadratic_profile(c, d, k))
+    u = np.linspace(chart.lo, chart.hi, 65)
+    return float(np.max((np.abs(c * u * u) + np.abs(d * u) + k) / np.sqrt((c * u + d) * u + k)))
+
+
+class TestDefaultWindow:
+    # without --u0/--u1 an emitter draws reference_interval(p), the chart
+    # verify certifies. These charts lie off the old absolute windows [0.2, 2]
+    # and [0.05, 2]: outside the feasible window (c > 1), or across u* = 1
+    EMITTERS = [("export-graticule", "svg"), ("export-mesh", "obj"), ("table", "csv")]
+
+    @pytest.mark.parametrize("command, ext", EMITTERS)
+    @pytest.mark.parametrize("c, d, k", [(3.0, 0.0, 1e-6), (1e3, 0.0, 1.0), (1.0, -2.0, 1.01)])
+    def test_default_window_is_the_chart(self, capsys, tmp_path, command, ext, c, d, k):
+        coeffs = ("--c", repr(c), "--d", repr(d), "--k", repr(k))
+        chart = reference_interval(make_quadratic_profile(c, d, k))
+        assert window_of(command, *coeffs, "-o", "unused") == chart
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, command, *coeffs, "-o", str(tmp_path / ("default." + ext)))
+        assert (code, err) == (0, "")
+        code, _, err = run(capsys, command, *coeffs, "--u0", repr(chart.lo), "--u1", repr(chart.hi),
+                           "-o", str(tmp_path / ("given." + ext)))
+        assert code == 0, err
+        assert (tmp_path / ("default." + ext)).read_bytes() == (tmp_path / ("given." + ext)).read_bytes()
+
+    @pytest.mark.parametrize("command", [command for command, _ in EMITTERS])
+    def test_a_missing_end_is_the_charts(self, command):
+        # c > 1: the chart is inside the feasible window's upper half
+        p = make_quadratic_profile(2.0, 0.5, 1.0)
+        chart = reference_interval(p)
+        coeffs = ("--c", "2", "--d", "0.5", "--k", "1", "-o", "unused")
+        assert window_of(command, *coeffs, "--u0", "0.1") == admissible_interval(p, DomainInterval(0.1, chart.hi))
+        assert window_of(command, *coeffs, "--u1", "0.3") == admissible_interval(p, DomainInterval(chart.lo, 0.3))
+
+    def test_both_ends_given_compute_no_chart(self, monkeypatch):
+        # far from u* the chart can be empty where a given window is not
+        def no_chart(p):
+            raise AssertionError("the chart was computed")
+
+        monkeypatch.setattr(cli_mod, "reference_interval", no_chart)
+        window = window_of("table", "--c", "1", "--d", "0", "--k", "1", "--u0", "0.05", "--u1", "2", "-o", "unused")
+        assert window == DomainInterval(0.05, 2.0)
+
+    @pytest.mark.parametrize("command", [command for command, _ in EMITTERS])
+    def test_unit_profile_windows(self, command):
+        # on 1,0,1 the chart is [0.2, 2], for the mesh too; an end given
+        # alone keeps the chart's other end
+        coeffs = ("--c", "1", "--d", "0", "--k", "1", "-o", "unused")
+        assert window_of(command, *coeffs) == DomainInterval(0.2, 2.0)
+        assert window_of(command, *coeffs, "--u0", "0.5") == DomainInterval(0.5, 2.0)
+        assert window_of(command, *coeffs, "--u1", "1.5") == DomainInterval(0.2, 1.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(0.05, 20.0), k=st.floats(0.05, 20.0), skew=st.floats(-0.99, 0.99), s=st.floats(-10.0, 10.0))
+    @example(c=1.0, k=1.0, skew=0.0, s=-10.0)
+    @example(c=3.0, k=0.05, skew=0.99, s=10.0)
+    @example(c=0.05, k=20.0, skew=-0.99, s=-10.0)
+    def test_translation_moves_the_default_outputs_along(self, tmp_path_factory, c, k, skew, s):
+        # f(u - s)^2 = c u^2 + (d - 2cs) u + (cs^2 - ds + k): the translate's
+        # chart is the chart plus s, so its mesh is the same surface, its
+        # table's u column is shifted by s, and Phi gains one constant,
+        # -sigma e^{-i b(t_base)} (w0' - w0) = s at the default map flags.
+        # Rounding of f^2 at u + s, not of f, bounds each difference
+        d = skew * 2.0 * math.sqrt(c * k)
+        moved = (c, d - 2.0 * c * s, c * s * s - d * s + k)
+        bound = 16.0 * np.finfo(float).eps * max(f_sq_term_scale(c, d, k), f_sq_term_scale(*moved))
+        vertices, table = default_outputs(tmp_path_factory.mktemp("here"), c, d, k)
+        moved_vertices, moved_table = default_outputs(tmp_path_factory.mktemp("moved"), *moved)
+        assert np.max(np.abs(moved_vertices - vertices)) <= bound
+        assert np.array_equal(moved_table[:, 0], table[:, 0])
+        assert np.max(np.abs(moved_table[:, 1] - (table[:, 1] + s))) <= bound
+        shift = (moved_table[:, 2] - table[:, 2]) + 1j * (moved_table[:, 3] - table[:, 3])
+        assert np.max(np.abs(shift - s)) <= bound
 
 
 class TestFlagGroups:

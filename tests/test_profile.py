@@ -412,6 +412,19 @@ class TestGeneralProfile:
         with pytest.raises(ValueError):
             gp.table[1][0] = -1.0
 
+    def test_profiles_with_the_same_ends_but_different_rows_differ(self):
+        # a profile is its rows, so it equals only itself: two tables that
+        # share their first and last u neither compare equal nor hash alike
+        u = np.linspace(0.2, 2.0, 9)
+        root, cosh = GeneralProfile.from_table(u, np.sqrt(u * u + 1)), GeneralProfile.from_table(u, np.cosh(u))
+        assert root.domain == cosh.domain
+        assert root != cosh and root == root
+        assert len({root, cosh}) == 2
+        # the benchmark's tracer rebuilds each table this way
+        traced = dataclasses.replace(root, evaluator=print)
+        assert traced.evaluator is print and traced != root
+        assert all(np.array_equal(a, b) for a, b in zip(traced.table, root.table))
+
     def test_sample_calls_once_per_row(self):
         calls = []
         gp = GeneralProfile.sample(lambda u: calls.append(u) or math.cos(u), DomainInterval(0.2, 1.2), n=7)
