@@ -96,7 +96,7 @@ def _cmd_verify(args):
 
 def _load_csv_profile(path):
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["u", "f"]:
@@ -107,7 +107,10 @@ def _load_csv_profile(path):
                     continue
                 if len(r) != 2:
                     raise ValueError("CSV profile line %d needs exactly u,f" % line_no)
-                rows.append((float(r[0]), float(r[1])))
+                try:
+                    rows.append((float(r[0]), float(r[1])))
+                except ValueError as exc:
+                    raise ValueError("CSV profile line %d: %s" % (line_no, exc)) from exc
     except OSError as exc:
         raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
     return GeneralProfile.from_table([r[0] for r in rows], [r[1] for r in rows])
@@ -196,6 +199,9 @@ def _build_parser():
            "else the middle of the feasible window's upper half")
     u_window.add_argument("--u0", type=_finite_float, help=end % "lower")
     u_window.add_argument("--u1", type=_finite_float, help=end % "upper")
+    t_window = argparse.ArgumentParser(add_help=False)
+    t_window.add_argument("--t0", type=_finite_float, default=0.0)
+    t_window.add_argument("--t1", type=_finite_float, default=math.pi)
 
     sp = sub.add_parser("project", parents=[map_flags], help="map one surface point to the plane")
     sp.add_argument("--t", type=_finite_float, required=True)
@@ -217,12 +223,10 @@ def _build_parser():
     sp.add_argument("--threshold", type=_finite_float, default=1e-4, help="bound on the misfit max|f^2 - fit|/|c_x|")
     sp.set_defaults(handler=_cmd_classify)
 
-    sp = sub.add_parser("export-graticule", parents=[map_flags, u_window], help="write the projected graticule as SVG")
-    sp.add_argument("--t0", type=_finite_float, default=0.0)
-    sp.add_argument("--t1", type=_finite_float, default=math.pi)
-    sp.add_argument("--meridians", type=int, default=9)
-    sp.add_argument("--parallels", type=int, default=5)
-    sp.add_argument("--samples", type=int, default=64)
+    sp = sub.add_parser("export-graticule", parents=[map_flags, u_window, t_window], help="write the projected graticule as SVG")
+    sp.add_argument("--meridians", type=int, default=GraticuleSpec.n_meridians)
+    sp.add_argument("--parallels", type=int, default=GraticuleSpec.n_parallels)
+    sp.add_argument("--samples", type=int, default=GraticuleSpec.samples_per_curve)
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_export_graticule)
 
@@ -234,10 +238,8 @@ def _build_parser():
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_export_mesh)
 
-    sp = sub.add_parser("table", parents=[map_flags, u_window], help="write a t,u,x,y sample table as CSV")
+    sp = sub.add_parser("table", parents=[map_flags, u_window, t_window], help="write a t,u,x,y sample table as CSV")
     sp.add_argument("--grid", type=_parse_grid, default=(5, 5), help="NTxNU sample grid")
-    sp.add_argument("--t0", type=_finite_float, default=0.0)
-    sp.add_argument("--t1", type=_finite_float, default=math.pi)
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(handler=_cmd_table)
 

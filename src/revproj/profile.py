@@ -66,17 +66,39 @@ class SurfacePoint:
 class QuadraticProfile:
     """The admissible profile f^2 = c u^2 + d u + k with cached constants.
 
-    sqrt_c, delta = d^2 - 4ck and sqrt_neg_delta = sqrt(-delta) appear in
-    every downstream closed form, so they are computed once at construction.
-    Build instances through :func:`make_quadratic_profile`.
+    Construction raises RejectedProfile unless c > 0, k > 0 and
+    d^2 - 4ck < 0; the last condition keeps f real and positive for every u
+    and makes f'' strictly positive, which the projection construction
+    requires.  sqrt_c, delta = d^2 - 4ck and sqrt_neg_delta = sqrt(-delta)
+    appear in every downstream closed form, so they are derived once here
+    and cannot be passed in.
     """
 
     c: float
     d: float
     k: float
-    sqrt_c: float
-    delta: float
-    sqrt_neg_delta: float
+    sqrt_c: float = field(init=False)
+    delta: float = field(init=False)
+    sqrt_neg_delta: float = field(init=False)
+
+    def __post_init__(self):
+        c, d, k = self.c, self.d, self.k
+        for name, value in (("c", c), ("d", d), ("k", k)):
+            if not math.isfinite(value):
+                raise RejectedProfile("coefficient %s must be finite, got %r" % (name, value))
+        if k <= 0:
+            raise RejectedProfile("k must be positive so the radius f(0) = sqrt(k) exists (got k=%g)" % k)
+        if c <= 0:
+            raise RejectedProfile("c must be positive so the profile opens upward (got c=%g)" % c)
+        delta = d * d - 4.0 * c * k
+        if delta >= 0:
+            raise RejectedProfile(
+                "discriminant d^2 - 4ck = %g must be negative: it keeps f > 0 "
+                "everywhere and f'' strictly positive" % delta
+            )
+        for name, value in (("c", float(c)), ("d", float(d)), ("k", float(k)), ("sqrt_c", math.sqrt(c)),
+                            ("delta", delta), ("sqrt_neg_delta", math.sqrt(-delta))):
+            object.__setattr__(self, name, value)
 
     @property
     def singular_u(self) -> float:
@@ -148,34 +170,7 @@ class GeneralProfile:
         return cls.from_table(u, [fn(x) for x in u])
 
 
-def make_quadratic_profile(c: float, d: float, k: float) -> QuadraticProfile:
-    """Validate (c, d, k) and return the profile with cached constants.
-
-    Raises RejectedProfile unless c > 0, k > 0 and d^2 - 4ck < 0; the last
-    condition keeps f real and positive for every u and makes f'' strictly
-    positive, which the projection construction requires.
-    """
-    for name, value in (("c", c), ("d", d), ("k", k)):
-        if not math.isfinite(value):
-            raise RejectedProfile("coefficient %s must be finite, got %r" % (name, value))
-    if k <= 0:
-        raise RejectedProfile("k must be positive so the radius f(0) = sqrt(k) exists (got k=%g)" % k)
-    if c <= 0:
-        raise RejectedProfile("c must be positive so the profile opens upward (got c=%g)" % c)
-    delta = d * d - 4.0 * c * k
-    if delta >= 0:
-        raise RejectedProfile(
-            "discriminant d^2 - 4ck = %g must be negative: it keeps f > 0 "
-            "everywhere and f'' strictly positive" % delta
-        )
-    return QuadraticProfile(
-        c=float(c),
-        d=float(d),
-        k=float(k),
-        sqrt_c=math.sqrt(c),
-        delta=delta,
-        sqrt_neg_delta=math.sqrt(-delta),
-    )
+make_quadratic_profile = QuadraticProfile  # the name benchmark/, the tests and README call it by
 
 
 def profile_jet(p: QuadraticProfile, u: float):

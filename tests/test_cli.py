@@ -355,6 +355,22 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", "--profile", "csv:%s" % path)
         assert code == 2
 
+    def test_csv_with_byte_order_mark(self, capsys, tmp_path):
+        # spreadsheet tools save UTF-8 with a BOM; the rows are the same
+        path = write_profile(tmp_path, lambda u: np.sqrt(u * u + 1), 0.2, 2.0, 30)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain = run(capsys, "classify", "--profile", "csv:%s" % path)
+        assert plain[0] == 0
+        assert run(capsys, "classify", "--profile", "csv:%s" % bom) == plain
+
+    def test_csv_non_numeric_cell_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "cell.csv"
+        path.write_text("u,f\n0.1,1.0\n0.2,1.1\n0.3,abc\n0.4,1.2\n0.5,1.3\n")
+        code, out, err = run(capsys, "classify", "--profile", "csv:%s" % path)
+        assert (code, out) == (2, "")
+        assert err == "error: CSV profile line 4: could not convert string to float: 'abc'\n"
+
     def test_csv_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", "--profile", "csv:%s/nope.csv" % tmp_path)
         assert code == 3
@@ -389,6 +405,20 @@ class TestExportCommands:
         assert code == 0
         assert out_path.exists()
         assert "9 meridians" in out
+
+    @pytest.mark.parametrize("command, explicit", [
+        ("export-graticule", ("--t0", "0", "--t1", repr(math.pi), "--meridians", str(GraticuleSpec.n_meridians),
+                              "--parallels", str(GraticuleSpec.n_parallels),
+                              "--samples", str(GraticuleSpec.samples_per_curve))),
+        ("table", ("--t0", "0", "--t1", repr(math.pi), "--grid", "5x5")),
+    ])
+    def test_default_flags_are_the_explicit_ones(self, capsys, tmp_path, command, explicit):
+        # the graticule's counts default to GraticuleSpec's fields, and
+        # --t0/--t1 to [0, pi] for both emitters that take them
+        coeffs = ("--c", "0.6", "--d", "0.3", "--k", "1.5")
+        assert run(capsys, command, *coeffs, "-o", str(tmp_path / "default"))[0] == 0
+        assert run(capsys, command, *coeffs, *explicit, "-o", str(tmp_path / "given"))[0] == 0
+        assert (tmp_path / "default").read_bytes() == (tmp_path / "given").read_bytes()
 
     def test_graticule_of_large_map(self, capsys, tmp_path):
         # |Phi| near 2e7: the collinearity guard scales with the image

@@ -15,6 +15,7 @@ from revproj import (
     EmptyDomain,
     GeneralProfile,
     InfeasibleArcLength,
+    QuadraticProfile,
     RejectedProfile,
     SingularitySplit,
     SurfacePoint,
@@ -61,6 +62,61 @@ class TestMakeQuadraticProfile:
     def test_non_finite_rejected(self):
         with pytest.raises(RejectedProfile):
             make_quadratic_profile(math.nan, 0, 1)
+
+
+class TestQuadraticProfileValidatesItself:
+    # the type is the only constructor: make_quadratic_profile is its other
+    # name, and the constants derived from (c, d, k) cannot be passed in
+    @pytest.mark.parametrize("c,d,k,message", [
+        (math.nan, 0, 1, "coefficient c must be finite, got nan"),
+        (1, math.inf, 1, "coefficient d must be finite, got inf"),
+        (1, 0, -math.inf, "coefficient k must be finite, got -inf"),
+        (math.nan, 0, -1, "coefficient c must be finite, got nan"),
+        (1, 0, 0, "k must be positive so the radius f(0) = sqrt(k) exists (got k=0)"),
+        (-1, 0, -2, "k must be positive so the radius f(0) = sqrt(k) exists (got k=-2)"),
+        (-1, 0, 1, "c must be positive so the profile opens upward (got c=-1)"),
+        (0, 0, 1, "c must be positive so the profile opens upward (got c=0)"),
+        (1, 2, 1, "discriminant d^2 - 4ck = 0 must be negative: it keeps f > 0 "
+                  "everywhere and f'' strictly positive"),
+        (1, 3, 1, "discriminant d^2 - 4ck = 5 must be negative: it keeps f > 0 "
+                  "everywhere and f'' strictly positive"),
+    ])
+    def test_each_rule_rejects_with_its_message(self, c, d, k, message):
+        with pytest.raises(RejectedProfile) as info:
+            QuadraticProfile(c, d, k)
+        assert str(info.value) == message
+
+    def test_derived_fields_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            QuadraticProfile(c=-1.0, d=0.0, k=1.0, sqrt_c=1.0, delta=-4.0, sqrt_neg_delta=2.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(QuadraticProfile(1, 0, 1), sqrt_c=3.0)
+
+    def test_replace_validates_and_derives_again(self):
+        p = dataclasses.replace(QuadraticProfile(1, 0, 1), c=4.0)
+        assert (p.sqrt_c, p.delta, p.sqrt_neg_delta) == (2.0, -16.0, 4.0)
+        assert p == QuadraticProfile(4, 0, 1)
+        with pytest.raises(RejectedProfile):
+            dataclasses.replace(p, c=-1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(1e-3, 1e3), k=st.floats(1e-3, 1e3), skew=st.floats(-0.999, 0.999))
+    def test_derived_fields_are_the_closed_forms(self, c, k, skew):
+        d = skew * 2.0 * math.sqrt(c * k)
+        delta = d * d - 4.0 * c * k
+        p = QuadraticProfile(c, d, k)
+        assert (p.c, p.d, p.k) == (c, d, k)
+        assert p.delta == delta
+        assert p.sqrt_c == math.sqrt(c)
+        assert p.sqrt_neg_delta == math.sqrt(-delta)
+
+    def test_coefficients_are_stored_as_floats(self):
+        p = QuadraticProfile(1, np.float64(0.5), 2)
+        assert [type(v) for v in (p.c, p.d, p.k)] == [float, float, float]
+        assert p == QuadraticProfile(1.0, 0.5, 2.0)
+
+    def test_make_quadratic_profile_is_the_type(self):
+        assert make_quadratic_profile is QuadraticProfile
 
 
 class TestProfileJet:
