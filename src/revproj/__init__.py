@@ -33,9 +33,7 @@ from .profile import (
     QuadraticProfile,
     SurfacePoint,
     admissible_interval,
-    embed,
     eval_g,
-    gaussian_curvature,
     make_quadratic_profile,
     profile_jet,
     reference_interval,

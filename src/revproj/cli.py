@@ -26,6 +26,7 @@ from .profile import (
     DomainInterval,
     GeneralProfile,
     SurfacePoint,
+    TableRowError,
     admissible_interval,
     make_quadratic_profile,
     reference_interval,
@@ -101,7 +102,7 @@ def _load_csv_profile(path):
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["u", "f"]:
                 raise ValueError("CSV profile needs header 'u,f' (got %r)" % (header,))
-            rows = []
+            rows, lines = [], []
             for line_no, r in enumerate(reader, start=2):
                 if not r:
                     continue
@@ -111,9 +112,13 @@ def _load_csv_profile(path):
                     rows.append((float(r[0]), float(r[1])))
                 except ValueError as exc:
                     raise ValueError("CSV profile line %d: %s" % (line_no, exc)) from exc
+                lines.append(line_no)
     except OSError as exc:
         raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
-    return GeneralProfile.from_table([r[0] for r in rows], [r[1] for r in rows])
+    try:
+        return GeneralProfile.from_table([r[0] for r in rows], [r[1] for r in rows])
+    except TableRowError as exc:
+        raise ValueError("CSV profile line %d %s" % (lines[exc.row], exc.detail)) from exc
 
 
 def _resolve_profile_arg(text):

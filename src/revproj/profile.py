@@ -4,14 +4,13 @@ A surface of revolution r(t, u) = (f(u) cos t, f(u) sin t, g(u)) whose
 generating curve (f, g) is parametrized by arc length carries the metric
 du^2 + f(u)^2 dt^2.  This module implements the family
 
-    f(u)^2 = c u^2 + d u + k        (c > 0, k > 0, d^2 - 4ck < 0)
+    f(u)^2 = c u^2 + d u + k = c (u - u*)^2 + m   (c > 0, k > 0, m > 0)
 
-with all derivatives in closed form, the height function g from
+with all derivatives in closed form and the height function g from
 (f')^2 + (g')^2 = 1 in closed form (Carlson's symmetric elliptic
-integrals), the Gaussian curvature K = -f''/f, and the 3D embedding.  It
-also carries ``GeneralProfile``, an arbitrary radius function known by its
-rows (tabulated, or sampled from a function), used by the existence
-classifier.
+integrals).  It also carries ``GeneralProfile``, an arbitrary radius
+function known by its rows (tabulated, or sampled from a function), used by
+the existence classifier.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import (
     SingularitySplit,
 )
 
-# Clipped endpoints are pulled inward by this many lengths L = sqrt(-delta)/(2c),
+# Clipped endpoints are pulled inward by this many lengths L = sqrt(m/c),
 # which scale with the profile, so sqrt(1 - f'^2) never sees a negative argument
 # from rounding just past the boundary.
 BOUNDARY_INSET = 1e-9
@@ -64,22 +63,27 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class QuadraticProfile:
-    """The admissible profile f^2 = c u^2 + d u + k with cached constants.
+    """The admissible profile f^2 = c u^2 + d u + k, with its invariants.
 
     Construction raises RejectedProfile unless c > 0, k > 0 and
     d^2 - 4ck < 0; the last condition keeps f real and positive for every u
     and makes f'' strictly positive, which the projection construction
-    requires.  sqrt_c, delta = d^2 - 4ck and sqrt_neg_delta = sqrt(-delta)
-    appear in every downstream closed form, so they are derived once here
-    and cannot be passed in.
+    requires.  Every downstream closed form reads f^2 = c (u - u*)^2 + m
+    through its invariants, derived once here and never passed in: the neck
+    singular_u = u* = -d/(2c), radius_sq_min = m = f(u*)^2 = k - d^2/(4c)
+    and the length L = sqrt(m/c), with sqrt_c.  m is one exact ratio of the
+    coefficients' integer ratios, rounded once, so it neither cancels near
+    the discriminant edge nor overflows or underflows; the admissibility
+    test is m > 0.
     """
 
     c: float
     d: float
     k: float
     sqrt_c: float = field(init=False)
-    delta: float = field(init=False)
-    sqrt_neg_delta: float = field(init=False)
+    singular_u: float = field(init=False)
+    radius_sq_min: float = field(init=False)
+    length: float = field(init=False)
 
     def __post_init__(self):
         c, d, k = self.c, self.d, self.k
@@ -90,20 +94,19 @@ class QuadraticProfile:
             raise RejectedProfile("k must be positive so the radius f(0) = sqrt(k) exists (got k=%g)" % k)
         if c <= 0:
             raise RejectedProfile("c must be positive so the profile opens upward (got c=%g)" % c)
-        delta = d * d - 4.0 * c * k
-        if delta >= 0:
+        c, d, k = float(c), float(d), float(k)
+        (cn, cd), (dn, dd), (kn, kd) = (v.as_integer_ratio() for v in (c, d, k))
+        # m = (4ck - d^2)/(4c) exactly, and int / int rounds correctly
+        m = (4 * cn * kn * dd * dd - dn * dn * cd * kd) / (4 * cn * kd * dd * dd)
+        if not m > 0:
             raise RejectedProfile(
                 "discriminant d^2 - 4ck = %g must be negative: it keeps f > 0 "
-                "everywhere and f'' strictly positive" % delta
+                "everywhere and f'' strictly positive" % (d * d - 4.0 * c * k)
             )
-        for name, value in (("c", float(c)), ("d", float(d)), ("k", float(k)), ("sqrt_c", math.sqrt(c)),
-                            ("delta", delta), ("sqrt_neg_delta", math.sqrt(-delta))):
+        sqrt_c = math.sqrt(c)
+        for name, value in (("c", c), ("d", d), ("k", k), ("sqrt_c", sqrt_c), ("singular_u", -d / (2.0 * c)),
+                            ("radius_sq_min", m), ("length", math.sqrt(m) / sqrt_c)):
             object.__setattr__(self, name, value)
-
-    @property
-    def singular_u(self) -> float:
-        """Abscissa u* = -d/(2c) where f' vanishes; excluded from charts."""
-        return -self.d / (2.0 * self.c)
 
     def radius_sq(self, u):
         """f(u)^2 = (c u + d) u + k at u, a float or a numpy array."""
@@ -113,16 +116,14 @@ class QuadraticProfile:
         """f(u), without forming f'' as profile_jet does."""
         return np.sqrt(self.radius_sq(u))
 
-    @property
-    def radius_sq_min(self) -> float:
-        """m = f(u*)^2 = -delta/(4c), so that f^2 = c (u - u*)^2 + m."""
-        return -self.delta / (4.0 * self.c)
 
-    @property
-    def w0_modulus(self) -> float:
-        """|w0| = sqrt(k)/sqrt(c), the length of the complex offset w0 in
-        the map's affine form e^{-ib(t)} (u + w0)."""
-        return math.sqrt(self.k) / self.sqrt_c
+class TableRowError(ValueError):
+    """A row of a GeneralProfile's table that breaks one of its rules;
+    ``row`` is its index and ``detail`` its values and the rule."""
+
+    def __init__(self, row, u, f, rule):
+        self.row, self.detail = row, "(u=%r, f=%r): %s" % (float(u[row]), float(f[row]), rule)
+        super().__init__("table row %d %s" % (row, self.detail))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,12 +150,11 @@ class GeneralProfile:
         # five rows make one curvature window
         if u.ndim != 1 or u.shape != f.shape or u.size < 5:
             raise ValueError("table needs matching 1-D u and f arrays with >= 5 rows")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(f))):
-            raise ValueError("table u- and f-values must be finite")
-        if not np.all(np.diff(u) > 0):
-            raise ValueError("table u-values must be strictly increasing")
-        if not np.all(f > 0):
-            raise ValueError("table f-values must be positive")
+        for ok, rule in ((np.isfinite(u) & np.isfinite(f), "u- and f-values must be finite"),
+                         (np.append(True, np.diff(u) > 0), "u-values must be strictly increasing"),
+                         (f > 0, "f-values must be positive")):
+            if not ok.all():
+                raise TableRowError(int(np.argmin(ok)), u, f, rule)
         u.flags.writeable = f.flags.writeable = False  # validated once, so kept as validated
         object.__setattr__(self, "table", (u, f))
         object.__setattr__(self, "domain", DomainInterval(float(u[0]), float(u[-1])))
@@ -176,23 +176,22 @@ make_quadratic_profile = QuadraticProfile  # the name benchmark/, the tests and 
 def profile_jet(p: QuadraticProfile, u: float):
     """Evaluate (f, f', f'') at u, a float (giving numpy scalars) or an array.
 
-    f = sqrt(c u^2 + d u + k), f' = (2cu + d)/(2f), f'' = (4ck - d^2)/(4 f^3).
+    f = sqrt(c u^2 + d u + k), f' = (2cu + d)/(2f), f'' = c m/f^3.
     """
     w = p.radius_sq(u)
     f = np.sqrt(w)
     f_prime = (2.0 * p.c * u + p.d) / (2.0 * f)
-    f_second = -p.delta / (4.0 * f * w)
+    f_second = p.c * p.radius_sq_min / (f * w)
     return f, f_prime, f_second
 
 
 def slope_feasible_span(p: QuadraticProfile):
     """The open u-range on which f'(u)^2 <= 1, i.e. where (f, g) can be an
     arc-length curve.  Unbounded for c <= 1; for c > 1 it is the symmetric
-    window u* +- sqrt(-delta) / (2 c sqrt(c - 1)) around the zero-slope
-    abscissa."""
+    window u* +- L/sqrt(c - 1) around the zero-slope abscissa."""
     if p.c <= 1.0:
         return (-math.inf, math.inf)
-    half = p.sqrt_neg_delta / (2.0 * p.c * math.sqrt(p.c - 1.0))
+    half = p.length / math.sqrt(p.c - 1.0)
     us = p.singular_u
     return (us - half, us + half)
 
@@ -204,13 +203,13 @@ def admissible_interval(p: QuadraticProfile, requested: DomainInterval) -> Domai
     Raises SingularitySplit with both candidate sides when u* is interior to
     ``requested``; raises EmptyDomain when nothing of ``requested`` is
     feasible.  Endpoints clipped at the feasibility boundary are pulled
-    inward by BOUNDARY_INSET times the length L = sqrt(-delta)/(2c).
+    inward by BOUNDARY_INSET times the length L.
     """
     us = p.singular_u
     if requested.lo < us < requested.hi:
         raise SingularitySplit(lower=(requested.lo, us), upper=(us, requested.hi))
     lo, hi = requested.lo, requested.hi
-    inset = BOUNDARY_INSET * (p.sqrt_neg_delta / (2.0 * p.c))
+    inset = BOUNDARY_INSET * p.length
     if us == lo:
         lo = us + inset
     if us == hi:
@@ -396,16 +395,3 @@ def eval_g(p: QuadraticProfile, u, u_ref: float):
     if moved.any():
         g[moved] = _height_between(p, flat[moved], float(u_ref))
     return float(g[0]) if u_arr.ndim == 0 else g.reshape(u_arr.shape)
-
-
-def gaussian_curvature(p: QuadraticProfile, u: float) -> float:
-    """K = -f''/f = delta / (4 f^4); strictly negative on this family.
-    u may be a float or a numpy array."""
-    w = p.radius_sq(u)
-    return p.delta / (4.0 * w * w)
-
-
-def embed(p: QuadraticProfile, pt: SurfacePoint, u_ref: float):
-    """3D embedding (f cos t, f sin t, g) with g anchored at u_ref."""
-    f = p.radius(pt.u)
-    return f * math.cos(pt.t), f * math.sin(pt.t), eval_g(p, pt.u, u_ref)

@@ -4,16 +4,21 @@ The map Phi(t, u) = (x, y) sends meridians (t fixed) to straight lines while
 preserving infinitesimal length along meridians and parallels:
 |dPhi/du| = 1 and |dPhi/dt| = f(u).  Its ingredients are
 
-    a(u) = arctan((2c / sqrt(-delta)) (u + d/2c))   meridian turning angle,
-    b(t) = -sqrt(c) t + c0                          line direction angle
-                                                    (+sqrt(c) t + c0 on the
-                                                    mirrored branch),
+    a(u) = arctan((u - u*)/L)     meridian turning angle,
+    b(t) = -sqrt(c) t + c0        line direction angle (+sqrt(c) t + c0 on
+                                  the mirrored branch),
     theta0 with sin(theta0) = d / (2 sqrt(ck)),
 
-and in complex form z = x + iy the map is one affine expression per meridian,
+with u* = -d/(2c) and L = sqrt(m/c) the profile's invariants
+(``QuadraticProfile``), and in complex form z = x + iy the map is one affine
+expression per meridian,
 
     Phi(t, u) = sigma (e^{-i b(t)} (u + w0) - e^{-i b(t_base)} w0),
-    w0 = -i (sqrt(k)/sqrt(c)) e^{i theta0},   sigma = +-1 on CASE_A / CASE_B.
+    w0 = -i (sqrt(k)/sqrt(c)) e^{i theta0} = -u* -+ iL,
+    sigma = +-1 on CASE_A / CASE_B.
+
+w0 is built from the invariants: -u* - iL on the principal theta0 and
+-u* + iL on its supplement, so theta0 itself never enters the kernel.
 
 ``plane_map`` evaluates it and both partial derivatives on arrays; the
 scalar ``project`` and ``jacobian`` are views of it, and ``invert`` solves it
@@ -46,7 +51,9 @@ class ProjectionParams:
     """Integration constants picking one concrete map out of the family.
 
     c0 shifts b(t); theta0 satisfies sin(theta0) = d/(2 sqrt(ck)); t_base
-    anchors the map so that Phi(t_base, 0) = 0.
+    anchors the map so that Phi(t_base, 0) = 0.  The kernel reads only
+    theta0's side: Im w0 = -L where cos(theta0) >= 0 (the principal
+    branch) and +L where it is negative (the supplement).
     """
 
     c0: float
@@ -68,23 +75,21 @@ def make_projection_params(
     t_base: float = 0.0,
     mirror_theta0: bool = False,
 ) -> ProjectionParams:
-    """theta0 = arcsin(d / (2 sqrt(ck))), principal branch by default;
-    ``mirror_theta0`` selects the supplementary angle pi - theta0, which has
-    the same sine and therefore also satisfies both preserved-length
-    conditions."""
-    s = p.d / (2.0 * math.sqrt(p.c * p.k))
-    theta0 = math.asin(s)
+    """theta0 = atan2(-u*, L), the principal arcsin of d/(2 sqrt(ck)), by
+    default; ``mirror_theta0`` selects the supplementary angle pi - theta0,
+    which has the same sine and therefore also satisfies both
+    preserved-length conditions."""
+    theta0 = math.atan2(-p.singular_u, p.length)
     if mirror_theta0:
         theta0 = math.pi - theta0
     return ProjectionParams(c0=float(c0), theta0=theta0, branch=branch, t_base=float(t_base))
 
 
 def meridian_turning(p: QuadraticProfile, u: float):
-    """(a, a') with a(u) = arctan((2c/sqrt(-delta))(u + d/2c)) and
-    a' = (sqrt(-delta)/2) / f(u)^2; u may be a float or a numpy array."""
-    x = 2.0 * p.c / p.sqrt_neg_delta * (u + p.d / (2.0 * p.c))
-    a = np.arctan(x)
-    a_prime = 0.5 * p.sqrt_neg_delta / p.radius_sq(u)
+    """(a, a') with a(u) = arctan((u - u*)/L) and a' = c L / f(u)^2; u may
+    be a float or a numpy array."""
+    a = np.arctan((u - p.singular_u) / p.length)
+    a_prime = p.c * p.length / p.radius_sq(u)
     return a, a_prime
 
 
@@ -101,7 +106,7 @@ def plane_map(p: QuadraticProfile, params: ProjectionParams, t, u):
         dPhi/dt = -i sigma b' e^{-i b(t)} (u + w0)
         dPhi/du = sigma e^{-i b(t)}
 
-    with w0 = -i (sqrt(k)/sqrt(c)) e^{i theta0} and sigma = +1 on CASE_A,
+    with w0 = -u* -+ iL and sigma = +1 on CASE_A,
     -1 on CASE_B.  Each meridian image is the line through
     sigma (e^{-ib} w0 - e^{-i b(t_base)} w0) with unit direction dPhi/du,
     and |dPhi/dt| = sqrt(c) |u + w0| = f(u).  Returns (Phi, dPhi/dt, dPhi/du);
@@ -117,8 +122,7 @@ def _map_constants(p: QuadraticProfile, params: ProjectionParams):
     """(b', sigma, w0, e^{-i b(t_base)} w0), the constants of Phi shared by
     ``plane_map`` and ``invert``."""
     bp = b_slope(params, p)
-    amp = p.w0_modulus
-    w0 = complex(amp * math.sin(params.theta0), -amp * math.cos(params.theta0))
+    w0 = complex(-p.singular_u, math.copysign(p.length, -math.cos(params.theta0)))
     # b(t) = b' t + c0
     anchor = cmath.exp(-1j * (bp * params.t_base + params.c0)) * w0
     return bp, -bp / p.sqrt_c, w0, anchor  # sigma = +1 on CASE_A, -1 on CASE_B
@@ -146,12 +150,12 @@ def invert(p: QuadraticProfile, params: ProjectionParams, q: PlanePoint, seed: S
     """Invert Phi in closed form.
 
     Undoing the rigid motion gives z' = sigma q + e^{-i b(t_base)} w0 =
-    e^{-i b(t)} (u + w0), so |z'|^2 = (u - u*)^2 - delta/(4c^2): u is
-    u* +- sqrt(|z'|^2 + delta/(4c^2)) on the seed's side of u*, and
+    e^{-i b(t)} (u + w0), so |z'|^2 = (u - u*)^2 + L^2: u is
+    u* +- sqrt(|z'|^2 - L^2) on the seed's side of u*, and
     b(t) = -arg(z'/(u + w0)).  t is folded into the period window centred on
     the seed (the map repeats every 2 pi / sqrt(c) in t, so the seed selects
     the sheet).  Raises NoPreimage for a target on or inside the fold circle
-    |z'| <= sqrt(-delta)/(2c), which only u = u* reaches, and for a seed at
+    |z'| <= L, which only u = u* reaches, and for a seed at
     u* itself, which picks neither side.
     """
     # Scalar on purpose: in numpy it took 16.2 us per call against 2.25 and
@@ -161,8 +165,7 @@ def invert(p: QuadraticProfile, params: ProjectionParams, q: PlanePoint, seed: S
         raise NoPreimage("seed u=%g is the zero-slope abscissa u*, which picks neither side" % seed.u)
     bp, sigma, w0, anchor = _map_constants(p, params)
     zp = sigma * complex(q.x, q.y) + anchor
-    # |Im w0| = sqrt(-delta)/(2c) and -Re w0 = u*, taken from w0 itself so
-    # that the inverse matches the forward map to rounding
+    # |Im w0| = L and -Re w0 = u*, read off w0 as the forward map uses it
     r, fold = abs(zp), abs(w0.imag)
     if not r > fold:
         raise NoPreimage("target (%g, %g) is not outside the fold circle (|z'| = %g <= %g)" % (q.x, q.y, r, fold))

@@ -47,6 +47,10 @@ STRAIGHTNESS_UNIT_BOUND = 1e-12
 FD_STEP_RANGE = (1e-8, 1e-3)
 STRUCTURAL_BOUND = 1e-10  # fixed bounds of the structural identities
 ODE_ORACLE_BOUND = 1e-8  # and of the RK4 oracle, which have no error model
+# The RK4 oracle's step counts: its work arrays peak at ~17 doubles per step,
+# ~14 MB at the cap.  verify_report takes ODE_VERIFY_STEPS over its chart.
+ODE_MAX_STEPS = 100_000
+ODE_VERIFY_STEPS = 1_800
 # A meridian image's chord below this many eps times the term scale is
 # rounding: each endpoint rounds to a few eps of that scale, so the chord
 # gives no direction to measure the deviations against.
@@ -121,8 +125,9 @@ def _summarize(name, residuals, point_at, bound):
 
 
 def _term_scale(p: QuadraticProfile, us) -> float:
-    """max|u| + 2|w0| over the samples us, the size of the two terms of Phi."""
-    return float(np.abs(us).max()) + 2.0 * p.w0_modulus
+    """max|u| + 2|w0| over the samples us, the size of the two terms of Phi;
+    |w0| = hypot(u*, L)."""
+    return float(np.abs(us).max()) + 2.0 * math.hypot(p.singular_u, p.length)
 
 
 def isometry_tolerance(
@@ -267,7 +272,7 @@ def check_structural_identities(p: QuadraticProfile, u_samples):
     us = np.asarray(u_samples, dtype=float)
     f, fp, fpp = profile_jet(p, us)
     a, ap = meridian_turning(p, us)
-    app = -p.sqrt_neg_delta * fp / (f * f * f)
+    app = -2.0 * p.c * p.length * fp / (f * f * f)
     cos_a, sin_a = np.cos(a), np.sin(a)
     rows = {
         "f'' - (a')^2 f": fpp - ap * ap * f,
@@ -278,11 +283,14 @@ def check_structural_identities(p: QuadraticProfile, u_samples):
     return [_summarize(name, np.abs(r), u_samples.__getitem__, STRUCTURAL_BOUND) for name, r in rows.items()]
 
 
-def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> ResidualReport:
+def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, n_steps: int) -> ResidualReport:
     """Integrate a'' = -2 (f'/f) a' from closed-form initial conditions at u0
-    with classical fixed-step RK4 and report max |a_numeric - a_closed_form|
-    over the grid, bounded by ODE_ORACLE_BOUND.  Fixed stepping keeps the
-    global error O(step^4), which the convergence tests rely on.
+    to u1 with n_steps of classical fixed-step RK4, 1 <= n_steps <=
+    ODE_MAX_STEPS, and report max |a_numeric - a_closed_form| over the
+    n_steps + 1 nodes, bounded by ODE_ORACLE_BOUND.  Fixed stepping keeps
+    the global error O(h^4), h = (u1 - u0)/n_steps, which the convergence
+    tests rely on.  The count, not the step, is given, so the memory is the
+    same on a chart of any width.
 
     The right-hand side is a' times q(u) = -2 f'(u)/f(u) = -((f^2)'/f)/f,
     which depends on u alone, so q is tabulated once at every node and
@@ -292,13 +300,10 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, step: float) -> Resi
     grid is one cumulative product and one cumulative sum.  Only f, the
     derivative of f^2 and the initial conditions at u0 enter it, so it
     stays independent of the closed form it is compared against."""
-    if step <= 0 or step > 1e-2:
-        raise ValueError("step must be positive and at most 1e-2")
+    if not 1 <= n_steps <= ODE_MAX_STEPS:
+        raise ValueError("n_steps must be within [1, %d], got %r" % (ODE_MAX_STEPS, n_steps))
 
     a, ap = meridian_turning(p, u0)
-    n_steps = max(0, math.ceil(abs(u1 - u0) / step))
-    if n_steps == 0:
-        return _summarize("a(u): RK4 vs closed form", [0.0], lambda i: float(u0), ODE_ORACLE_BOUND)
     h = (u1 - u0) / n_steps
     u = u0 + 0.5 * h * np.arange(2 * n_steps + 1)  # nodes at even j
     f = p.radius(u)
@@ -329,9 +334,10 @@ def verify_report(p: QuadraticProfile, params: ProjectionParams, grid, fd_step: 
     reference_interval(p): isometry on the (nt, nu) grid by central
     differences of step fd_step, then analytically; the most bent of three
     meridian images; the structural identities at 1,000 abscissae; the RK4
-    oracle at step 1e-3.  The angles and abscissae are 2 pi times and
-    lo + W times the first 3 and the next 1,000 golden-ratio draws
-    frac(s + i phi), with the integer seed picking s = frac(seed phi)."""
+    oracle in ODE_VERIFY_STEPS steps over the chart (h = 1e-3, to rounding,
+    on the width-1.8 chart of every c <= 1).  The angles and abscissae are
+    2 pi times and lo + W times the first 3 and the next 1,000 golden-ratio
+    draws frac(s + i phi), with the integer seed picking s = frac(seed phi)."""
     lo, hi = FD_STEP_RANGE
     if not lo <= fd_step <= hi:  # 0, the analytic mode, would fill the [fd] rows
         raise ValueError("--fd-step must be within [%g, %g], got %r" % (lo, hi, fd_step))
@@ -345,7 +351,7 @@ def verify_report(p: QuadraticProfile, params: ProjectionParams, grid, fd_step: 
     u_line = np.linspace(u_span.lo, u_span.hi, 16)
     reports.append(check_meridian_straightness(p, params, 2.0 * math.pi * draws[:3], u_line))
     reports += check_structural_identities(p, u_span.lo + u_span.width * draws[3:])
-    reports.append(ode_oracle_a(p, u_span.lo, u_span.hi, step=1e-3))
+    reports.append(ode_oracle_a(p, u_span.lo, u_span.hi, ODE_VERIFY_STEPS))
     return reports
 
 

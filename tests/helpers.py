@@ -33,3 +33,10 @@ def random_profiles(seed, count):
 def chart(p):
     """Default admissible u-interval used when a test needs one."""
     return reference_interval(p)
+
+
+def gaussian_curvature(p, u):
+    """The curvature oracle K = -f''/f = -c m/f^4 (m = f(u*)^2), strictly
+    negative on this family; u may be a float or a numpy array."""
+    w = p.radius_sq(u)
+    return -p.c * p.radius_sq_min / (w * w)

@@ -24,7 +24,6 @@ from revproj import (
     curvature_report,
     existence_classifier,
     export_mesh_obj,
-    gaussian_curvature,
     make_projection_params,
     make_quadratic_profile,
     ode_oracle_a,
@@ -32,7 +31,7 @@ from revproj import (
     reference_interval,
 )
 from revproj.cli import cli_dispatch
-from helpers import random_profiles
+from helpers import gaussian_curvature, random_profiles
 
 PROFILE_SEED = 2026
 
@@ -97,9 +96,10 @@ def test_criterion_3_proof_identities():
 
 def test_criterion_4_ode_oracle():
     p = make_quadratic_profile(1, 0, 1)
-    err = ode_oracle_a(p, 0.5, 2.0, 1e-3).max_abs_residual
-    coarse = ode_oracle_a(p, 0.5, 2.0, 1e-2).max_abs_residual
-    fine = ode_oracle_a(p, 0.5, 2.0, 5e-3).max_abs_residual
+    # steps of 1e-3, 1e-2 and 5e-3 over the width 1.5
+    err = ode_oracle_a(p, 0.5, 2.0, 1500).max_abs_residual
+    coarse = ode_oracle_a(p, 0.5, 2.0, 150).max_abs_residual
+    fine = ode_oracle_a(p, 0.5, 2.0, 300).max_abs_residual
     ratio = coarse / fine
     ok = err < 1e-8 and 12.0 <= ratio <= 20.0
     _criterion(4, "RK4 oracle error %.1e, halving ratio %.1f" % (err, ratio), ok)

@@ -371,6 +371,30 @@ class TestClassifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: CSV profile line 4: could not convert string to float: 'abc'\n"
 
+    # a blank line is skipped, so the fifth line holds the third row
+    @pytest.mark.parametrize("row, rule", [
+        ("0.3,nan", "(u=0.3, f=nan): u- and f-values must be finite"),
+        ("inf,1.2", "(u=inf, f=1.2): u- and f-values must be finite"),
+    ])
+    def test_csv_non_finite_cell_names_its_line(self, capsys, tmp_path, row, rule):
+        path = tmp_path / "cell.csv"
+        path.write_text("u,f\n0.1,1.0\n\n0.2,1.1\n%s\n0.4,1.2\n0.5,1.3\n" % row)
+        code, out, err = run(capsys, "classify", "--profile", "csv:%s" % path)
+        assert (code, out) == (2, "")
+        assert err == "error: CSV profile line 5 %s\n" % rule
+
+    @pytest.mark.parametrize("row, rule", [
+        ("0.3,-1", "(u=0.3, f=-1.0): f-values must be positive"),
+        ("0.3,0", "(u=0.3, f=0.0): f-values must be positive"),
+        ("0.2,1.2", "(u=0.2, f=1.2): u-values must be strictly increasing"),
+    ])
+    def test_csv_bad_row_names_its_line(self, capsys, tmp_path, row, rule):
+        path = tmp_path / "row.csv"
+        path.write_text("u,f\n0.1,1.0\n\n0.2,1.1\n%s\n0.4,1.2\n0.5,1.3\n" % row)
+        code, out, err = run(capsys, "classify", "--profile", "csv:%s" % path)
+        assert (code, out) == (2, "")
+        assert err == "error: CSV profile line 5 %s\n" % rule
+
     def test_csv_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", "--profile", "csv:%s/nope.csv" % tmp_path)
         assert code == 3

@@ -33,10 +33,11 @@ from revproj import (
     plane_map,
     profile_jet,
     project,
+    reference_interval,
     sample_table_csv,
 )
 from revproj.profile import slope_feasible_span
-from helpers import subprocess_env
+from helpers import random_profiles, subprocess_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -346,6 +347,27 @@ class TestMeshObj:
         assert math.hypot(x, y) == pytest.approx(math.sqrt(5.0), abs=1e-12)
         for face in faces:
             assert all(1 <= v <= 2048 for v in face)
+
+    def test_surface_spot_values(self, fig1, tmp_path):
+        # rings at t = 0, pi/2, pi, 3 pi/2 through u = 0, 0.5 and 1, g
+        # anchored at u* = 0: (f cos t, f sin t, g) at (0, 0), (pi/2, 1), (pi, 1)
+        path = tmp_path / "spots.obj"
+        export_mesh_obj(fig1, MeshSpec(4, 3, DomainInterval(0.0, 1.0), 0.0), str(path))
+        vertices = [tuple(map(float, line.split()[1:])) for line in open(path) if line.startswith("v ")]
+        assert vertices[0] == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
+        assert vertices[5] == pytest.approx((0.0, 1.4142136, 0.8813736), abs=1e-7)
+        assert vertices[8] == pytest.approx((-1.4142136, 0.0, 0.8813736), abs=1e-7)
+
+    def test_vertices_lie_on_the_radius(self, tmp_path):
+        # x^2 + y^2 = f(u)^2 at every vertex
+        for p in random_profiles(9, 5):
+            span = reference_interval(p)
+            path = tmp_path / "radius.obj"
+            export_mesh_obj(p, MeshSpec(20, 20, span, span.lo), str(path))
+            vertices = [tuple(map(float, line.split()[1:])) for line in open(path) if line.startswith("v ")]
+            f = p.radius(np.linspace(span.lo, span.hi, 20))
+            for i, (x, y, _) in enumerate(vertices):
+                assert abs(x * x + y * y - f[i % 20] ** 2) < 1e-12
 
     def test_vertex_height_anchored_at_zero(self, fig1, tmp_path):
         # u = 1 lands on a grid node of linspace(0.25, 2, 8); with the

@@ -212,7 +212,7 @@ def test_structural_check_matches_loop(case, fractions):
     for u in us:
         f, fp, fpp = profile_jet(p, u)
         a, ap = meridian_turning(p, u)
-        app = -p.sqrt_neg_delta * fp / (f * f * f)
+        app = -2.0 * p.c * p.length * fp / (f * f * f)
         terms = [
             (fpp, -ap * ap * f),
             (2.0 * fp * ap, f * app),

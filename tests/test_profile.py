@@ -8,28 +8,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from revproj import (
+    Branch,
     DomainInterval,
     EmptyDomain,
     GeneralProfile,
     InfeasibleArcLength,
+    MeshSpec,
     QuadraticProfile,
     RejectedProfile,
     SingularitySplit,
-    SurfacePoint,
     admissible_interval,
-    embed,
     eval_g,
-    gaussian_curvature,
+    export_mesh_obj,
     make_projection_params,
     make_quadratic_profile,
     profile_jet,
     reference_interval,
 )
+from revproj.profile import TableRowError
+from revproj.projection import _map_constants
 from revproj.verifier import check_local_isometry
-from helpers import random_profiles, subprocess_env
+from helpers import gaussian_curvature, random_profiles, subprocess_env
 
 
 @st.composite
@@ -43,12 +45,13 @@ def profiles(draw):
 class TestMakeQuadraticProfile:
     def test_fig1_constants(self):
         p = make_quadratic_profile(1, 0, 1)
-        assert p.delta == -4.0
-        assert p.sqrt_neg_delta == 2.0
+        assert (p.singular_u, p.radius_sq_min, p.length) == (0.0, 1.0, 1.0)
         assert p.sqrt_c == 1.0
 
     def test_general_discriminant(self):
-        assert make_quadratic_profile(1, 1, 1).delta == -3.0
+        # f^2 = u^2 + u + 1 = (u + 1/2)^2 + 3/4
+        p = make_quadratic_profile(1, 1, 1)
+        assert (p.singular_u, p.radius_sq_min, p.length) == (-0.5, 0.75, math.sqrt(0.75))
 
     def test_zero_discriminant_rejected(self):
         with pytest.raises(RejectedProfile):
@@ -88,13 +91,13 @@ class TestQuadraticProfileValidatesItself:
 
     def test_derived_fields_cannot_be_passed(self):
         with pytest.raises(TypeError):
-            QuadraticProfile(c=-1.0, d=0.0, k=1.0, sqrt_c=1.0, delta=-4.0, sqrt_neg_delta=2.0)
+            QuadraticProfile(c=-1.0, d=0.0, k=1.0, sqrt_c=1.0, singular_u=0.0, radius_sq_min=1.0, length=1.0)
         with pytest.raises(ValueError):
             dataclasses.replace(QuadraticProfile(1, 0, 1), sqrt_c=3.0)
 
     def test_replace_validates_and_derives_again(self):
         p = dataclasses.replace(QuadraticProfile(1, 0, 1), c=4.0)
-        assert (p.sqrt_c, p.delta, p.sqrt_neg_delta) == (2.0, -16.0, 4.0)
+        assert (p.sqrt_c, p.singular_u, p.radius_sq_min, p.length) == (2.0, 0.0, 1.0, 0.5)
         assert p == QuadraticProfile(4, 0, 1)
         with pytest.raises(RejectedProfile):
             dataclasses.replace(p, c=-1.0)
@@ -103,12 +106,13 @@ class TestQuadraticProfileValidatesItself:
     @given(c=st.floats(1e-3, 1e3), k=st.floats(1e-3, 1e3), skew=st.floats(-0.999, 0.999))
     def test_derived_fields_are_the_closed_forms(self, c, k, skew):
         d = skew * 2.0 * math.sqrt(c * k)
-        delta = d * d - 4.0 * c * k
+        m = float(Fraction(k) - Fraction(d) ** 2 / (4 * Fraction(c)))  # rounded once
         p = QuadraticProfile(c, d, k)
         assert (p.c, p.d, p.k) == (c, d, k)
-        assert p.delta == delta
+        assert p.singular_u == -d / (2.0 * c)
+        assert p.radius_sq_min == m
         assert p.sqrt_c == math.sqrt(c)
-        assert p.sqrt_neg_delta == math.sqrt(-delta)
+        assert p.length == math.sqrt(m) / math.sqrt(c)
 
     def test_coefficients_are_stored_as_floats(self):
         p = QuadraticProfile(1, np.float64(0.5), 2)
@@ -117,6 +121,74 @@ class TestQuadraticProfileValidatesItself:
 
     def test_make_quadratic_profile_is_the_type(self):
         assert make_quadratic_profile is QuadraticProfile
+
+
+@st.composite
+def edge_coefficients(draw):
+    """(c, d, k) with c and k in 10^[-200, 200] and d = s 2 sqrt(c k), the
+    gap 1 - |s| in 10^[-16, 0]: out to the discriminant edge, where
+    d^2 - 4ck in floats would cancel to nothing."""
+    c, k = (10.0 ** draw(st.floats(-200.0, 200.0)) for _ in range(2))
+    s = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - 10.0 ** draw(st.floats(-16.0, 0.0)))
+    return c, s * 2.0 * math.sqrt(c) * math.sqrt(k), k
+
+
+class TestInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_coefficients())
+    def test_within_a_few_eps_of_mpmath(self, coefficients):
+        import mpmath
+
+        try:
+            p = QuadraticProfile(*coefficients)
+        except RejectedProfile:  # rounding took d past the edge
+            assume(False)
+        with mpmath.workdps(50):
+            c, d, k = map(mpmath.mpf, coefficients)
+            m = k - d * d / (4 * c)
+            exact = (-d / (2 * c), m, mpmath.sqrt(m / c))
+            for got, want in zip((p.singular_u, p.radius_sq_min, p.length), exact):
+                assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(1e-3, 1e3), k=st.floats(1e-3, 1e3), skew=st.floats(-1.0, 1.0), j=st.integers(-400, 400))
+    def test_homothety_scales_them_exactly(self, c, k, skew, j):
+        # (c, l d, l^2 k) with l = 2^j is the surface scaled by l, exactly
+        # while every value stays a normal float
+        assume(skew == 0.0 or abs(skew) > 1e-100)
+        d = skew * 2.0 * math.sqrt(c * k)
+        try:
+            p = QuadraticProfile(c, d, k)
+        except RejectedProfile:
+            assume(False)
+        q = QuadraticProfile(c, math.ldexp(d, j), math.ldexp(k, 2 * j))
+        assert q.singular_u == math.ldexp(p.singular_u, j)
+        assert q.length == math.ldexp(p.length, j)
+        assert q.radius_sq_min == math.ldexp(p.radius_sq_min, 2 * j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(1e-300, 1e300), k=st.floats(1e-300, 1e300), c0=st.floats(-4.0, 4.0), case_b=st.booleans())
+    def test_d_zero_keeps_w0_and_m(self, c, k, c0, case_b):
+        # what asin and sin/cos gave on d = 0 with the principal theta0
+        p = QuadraticProfile(c, 0.0, k)
+        params = make_projection_params(p, c0=c0, branch=Branch.CASE_B if case_b else Branch.CASE_A)
+        w0 = _map_constants(p, params)[2]
+        assert p.radius_sq_min == k
+        assert w0 == complex(0.0, -math.sqrt(k) / math.sqrt(c))
+        assert math.copysign(1.0, w0.real) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles(), st.booleans())
+    def test_w0_is_minus_u_star_on_theta0s_side(self, p, mirror):
+        params = make_projection_params(p, mirror_theta0=mirror)
+        assert math.sin(params.theta0) == pytest.approx(p.d / (2.0 * math.sqrt(p.c * p.k)), abs=1e-15)
+        assert _map_constants(p, params)[2] == complex(-p.singular_u, p.length if mirror else -p.length)
+
+    def test_far_profiles_have_their_invariants(self):
+        # 4ck underflows at 1e-200 and overflows at 1e200 in floats
+        tiny, huge = QuadraticProfile(1e-200, 0.0, 1e-200), QuadraticProfile(1e200, 0.0, 1e200)
+        assert (tiny.singular_u, tiny.radius_sq_min, tiny.length) == (0.0, 1e-200, 1.0)
+        assert (huge.singular_u, huge.radius_sq_min, huge.length) == (0.0, 1e200, 1.0)
 
 
 class TestProfileJet:
@@ -146,11 +218,11 @@ class TestProfileJet:
     @settings(max_examples=100, deadline=None)
     @given(profiles(), st.floats(-3.0, 3.0))
     def test_bend_times_radius_cubed_is_constant(self, p, u):
-        # f'' f^3 = (4ck - d^2)/4 everywhere, the square of sqrt(-delta)/2
+        # f'' f^3 = c m = (4ck - d^2)/4 everywhere, the square of c L
         f, _, fpp = profile_jet(p, u)
-        expected = -p.delta / 4.0
+        expected = p.c * p.radius_sq_min
         assert fpp * f**3 == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx((p.sqrt_neg_delta / 2.0) ** 2, rel=1e-15)
+        assert expected == pytest.approx((p.c * p.length) ** 2, rel=1e-15)
 
     def test_radius_times_slope_has_vanishing_second_derivative(self):
         # (f f')'' = 0: f f' is linear in u, so the second difference is
@@ -296,16 +368,11 @@ class TestClosedFormHeight:
         assert isinstance(eval_g(p, u, u_ref), float)
 
 
-def _length(p):
-    """L = sqrt(-delta)/(2c), the profile's length scale."""
-    return p.sqrt_neg_delta / (2.0 * p.c)
-
-
 def _far_ends(p, sign, count):
     """count abscissae on one side of u*, from 1e10 L out to where f^2 is
     about to overflow, equispaced in log|u - u*|."""
-    top = math.log10(1e154 / math.sqrt(p.c) / _length(p))
-    return p.singular_u + sign * _length(p) * 10.0 ** np.linspace(10.0, top, count)
+    top = math.log10(1e154 / math.sqrt(p.c) / p.length)
+    return p.singular_u + sign * p.length * 10.0 ** np.linspace(10.0, top, count)
 
 
 FAR_PROFILES = [(1e-3, 0.5, 1.0), (0.1, -0.9, 1e-40), (0.5, 0.0, 1.0), (0.9, 0.3, 1e40)]
@@ -342,7 +409,7 @@ class TestFarFieldHeight:
             return root_m * mpmath.asinh((mpmath.mpf(u) - mpmath.mpf(p.singular_u)) / root_m)
 
         us = _far_ends(p, sign, 30)
-        for u_ref in [us[0], us[-1], float(us[11] * (1.0 + 1e-9)), p.singular_u - sign * 3.0 * _length(p)]:
+        for u_ref in [us[0], us[-1], float(us[11] * (1.0 + 1e-9)), p.singular_u - sign * 3.0 * p.length]:
             moved = us != u_ref
             heights = eval_g(p, us[moved], u_ref)
             with mpmath.workdps(60):
@@ -354,7 +421,7 @@ class TestFarFieldHeight:
         p = make_quadratic_profile(c, frac * 2.0 * math.sqrt(c * k), k)
         below, above = _far_ends(p, -1.0, 12), _far_ends(p, 1.0, 12)
         for u_ref in [above[0], above[-1], below[-1]]:
-            for via in [above[5], below[7], p.singular_u + _length(p)]:
+            for via in [above[5], below[7], p.singular_u + p.length]:
                 direct = eval_g(p, below, u_ref)
                 first, second = eval_g(p, below, via), eval_g(p, via, u_ref)
                 assert np.all(np.isfinite(direct))
@@ -382,25 +449,6 @@ class TestCurvatureAndMetric:
                 assert gaussian_curvature(p, u) < 0
 
 
-class TestEmbed:
-    def test_spot_values(self, fig1):
-        x, y, z = embed(fig1, SurfacePoint(math.pi / 2, 1.0), 0.0)
-        assert (x, y, z) == pytest.approx((0.0, 1.4142136, 0.8813736), abs=1e-7)
-        assert embed(fig1, SurfacePoint(0.0, 0.0), 0.0) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
-        x, y, z = embed(fig1, SurfacePoint(math.pi, 1.0), 0.0)
-        assert (x, y, z) == pytest.approx((-1.4142136, 0.0, 0.8813736), abs=1e-7)
-
-    def test_radius_identity(self):
-        rng = np.random.default_rng(2)
-        for p in random_profiles(9, 5):
-            span = reference_interval(p)
-            for _ in range(20):
-                pt = SurfacePoint(rng.uniform(0, 2 * math.pi), rng.uniform(span.lo, span.hi))
-                x, y, _ = embed(p, pt, span.lo)
-                f, _, _ = profile_jet(p, pt.u)
-                assert abs(x * x + y * y - f * f) < 1e-12
-
-
 class TestRadius:
     @settings(max_examples=100, deadline=None)
     @given(profiles(), st.floats(-3.0, 3.0))
@@ -409,19 +457,22 @@ class TestRadius:
         assert p.radius(u) == profile_jet(p, u)[0]
         assert np.array_equal(p.radius(us), profile_jet(p, us)[0])
 
-    def test_huge_radius_reads_without_warning(self):
-        # f^2 = u^2 + 1e300: f'' = -delta/(4 f w) overflows in f w, which
-        # the readers of f alone no longer form
+    def test_huge_radius_reads_without_warning(self, tmp_path):
+        # f^2 = u^2 + 1e300: f'' = c m/(f w) overflows in f w, which the
+        # readers of f alone (the mesh's vertices among them) do not form
         p = make_quadratic_profile(1, 0, 1e300)
         params = make_projection_params(p)
         span = reference_interval(p)
+        path = tmp_path / "huge.obj"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for fd_step in (0.0, 1e-5):
                 check_local_isometry(p, params, span, nt=5, nu=5, fd_step=fd_step)
-            x, y, z = embed(p, SurfacePoint(math.pi / 2, 1.0), span.lo)
-        assert (x, y) == (p.radius(1.0) * math.cos(math.pi / 2), p.radius(1.0))
-        assert math.isfinite(z)
+            export_mesh_obj(p, MeshSpec(4, 3, span, span.lo), str(path))
+        vertices = [tuple(map(float, line.split()[1:])) for line in open(path) if line.startswith("v ")]
+        # the ring at t = pi/2 starts at (0, f(u0), g(u0) = 0)
+        assert vertices[3] == (0.0, float(p.radius(span.lo)), 0.0)
+        assert all(math.isfinite(z) for _, _, z in vertices)
 
 
 class TestGeneralProfile:
@@ -441,6 +492,18 @@ class TestGeneralProfile:
     def test_from_table_rejects_nonfinite(self, u, f):
         with pytest.raises(ValueError, match="finite"):
             GeneralProfile.from_table(u, f)
+
+    @pytest.mark.parametrize("u, f, row, detail", [
+        ([0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 1.0, math.nan, -1.0, 1.0], 2, "(u=1.0, f=nan): u- and f-values must be finite"),
+        ([0.0, 0.5, 0.5, 0.4, 2.0], [1.0, 1.0, 1.0, -1.0, 1.0], 2, "(u=0.5, f=1.0): u-values must be strictly increasing"),
+        ([0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 1.0, 1.0, -1.0, 0.0], 3, "(u=1.5, f=-1.0): f-values must be positive"),
+    ])
+    def test_from_table_names_the_first_bad_row(self, u, f, row, detail):
+        # the rules run in this order, each naming its first bad row
+        with pytest.raises(TableRowError) as info:
+            GeneralProfile.from_table(u, f)
+        assert (info.value.row, info.value.detail) == (row, detail)
+        assert str(info.value) == "table row %d %s" % (row, detail)
 
     def test_from_table_needs_one_curvature_window(self):
         # the row curvature needs one 5-row window

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,17 +20,17 @@ from revproj import (
     check_structural_identities,
     curvature_report,
     existence_classifier,
-    gaussian_curvature,
     make_projection_params,
     make_quadratic_profile,
     meridian_turning,
     ode_oracle_a,
     profile_jet,
     reference_interval,
+    verify_report,
 )
 import revproj.verifier as verifier_mod
-from revproj.verifier import _summarize, isometry_tolerance, straightness_tolerance
-from helpers import random_profiles
+from revproj.verifier import ODE_MAX_STEPS, _summarize, isometry_tolerance, straightness_tolerance
+from helpers import gaussian_curvature, random_profiles
 
 
 class TestLocalIsometry:
@@ -182,28 +183,50 @@ class TestStructuralIdentities:
 
 
 class TestOdeOracle:
+    # each call passes ceil(W/step) steps, the count the step once gave
     def test_error_below_1e8_at_step_1e3(self, fig1):
-        rep = ode_oracle_a(fig1, 0.5, 2.0, 1e-3)
+        rep = ode_oracle_a(fig1, 0.5, 2.0, 1500)
         assert rep.max_abs_residual < 1e-8
 
     def test_shifted_profile(self):
         p = make_quadratic_profile(1, 1, 1)
-        rep = ode_oracle_a(p, 0.0, 1.5, 1e-3)
+        rep = ode_oracle_a(p, 0.0, 1.5, 1500)
         assert rep.max_abs_residual < 1e-8
 
     def test_zero_length_interval(self, fig1):
-        rep = ode_oracle_a(fig1, 1.0, 1.0, 1e-3)
+        # one step of length 0: both nodes are u0
+        rep = ode_oracle_a(fig1, 1.0, 1.0, 1)
         assert rep.max_abs_residual == 0.0
-        assert rep.samples == 1
+        assert rep.samples == 2
 
     def test_fourth_order_convergence(self, fig1):
-        coarse = ode_oracle_a(fig1, 0.5, 2.0, 1e-2).max_abs_residual
-        fine = ode_oracle_a(fig1, 0.5, 2.0, 5e-3).max_abs_residual
+        coarse = ode_oracle_a(fig1, 0.5, 2.0, 150).max_abs_residual
+        fine = ode_oracle_a(fig1, 0.5, 2.0, 300).max_abs_residual
         assert 12.0 <= coarse / fine <= 20.0
 
     def test_step_bound_enforced(self, fig1):
-        with pytest.raises(ValueError):
-            ode_oracle_a(fig1, 0.5, 2.0, 0.05)
+        for n_steps in (0, -1, ODE_MAX_STEPS + 1):
+            with pytest.raises(ValueError):
+                ode_oracle_a(fig1, 0.5, 2.0, n_steps)
+        assert ode_oracle_a(fig1, 0.5, 2.0, ODE_MAX_STEPS).passed
+
+    def test_verify_memory_does_not_grow_with_the_chart(self):
+        # verify takes a fixed step count, so a chart ~2e4 times wider than
+        # 1,0,1's (3,0,1e10: width ~3e4) costs it no more memory
+        def peak(c, d, k):
+            p = make_quadratic_profile(c, d, k)
+            tracemalloc.start()
+            try:
+                reports = verify_report(p, make_projection_params(p), (50, 50), 1e-5, 0)
+                return tracemalloc.get_traced_memory()[1], reports
+            finally:
+                tracemalloc.stop()
+
+        base, _ = peak(1, 0, 1)
+        wide, reports = peak(3, 0, 1e10)
+        assert reference_interval(make_quadratic_profile(3, 0, 1e10)).width > 1e4
+        assert all(rep.passed for rep in reports)
+        assert wide <= 2 * base
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -225,7 +248,7 @@ class TestOdeOracle:
         near = p.singular_u + side * gap
         far = near + side * step * (n_steps - short)
         u0, u1 = (far, near) if backwards else (near, far)
-        rep = ode_oracle_a(p, u0, u1, step)
+        rep = ode_oracle_a(p, u0, u1, math.ceil(abs(u1 - u0) / step))
         ref_max, ref_mean, ref_samples = _rk4_per_call_reference(p, u0, u1, step)
         assert rep.samples == ref_samples == math.ceil(abs(u1 - u0) / step) + 1
         assert 2 <= rep.samples <= 2002
