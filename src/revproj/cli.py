@@ -31,7 +31,7 @@ from .profile import (
     make_quadratic_profile,
     reference_interval,
 )
-from .projection import Branch, make_projection_params, project
+from .projection import Branch, make_projection_params, project, t_period
 
 
 def _finite_float(text):
@@ -48,15 +48,18 @@ def _finite_float(text):
 def _inputs(args):
     """The profile, map parameters and admissible u-window that a
     subcommand's flags name, in that order; params is None without --case and
-    the window without --u0/--u1, where a missing end is reference_interval(p)'s."""
+    the window without --u0/--u1, where a missing end is reference_interval(p)'s.
+    A missing --t1 is set in args to min(pi, t_period(p)/2): half a period at most."""
     p = make_quadratic_profile(args.c, args.d, args.k)
     params = window = None
     if hasattr(args, "case"):
         branch = Branch.CASE_A if args.case == "a" else Branch.CASE_B
         params = make_projection_params(p, c0=args.c0, branch=branch, mirror_theta0=args.theta0_branch == "mirror")
+    if getattr(args, "t1", 0.0) is None:
+        args.t1 = min(math.pi, t_period(p) / 2.0)
     if hasattr(args, "u0"):
         lo, hi = args.u0, args.u1
-        if lo is None or hi is None:  # only then: far from u* the chart can be empty
+        if lo is None or hi is None:  # only then: a given window computes no chart
             chart = reference_interval(p)
             lo, hi = chart.lo if lo is None else lo, chart.hi if hi is None else hi
         window = admissible_interval(p, DomainInterval(lo, hi))
@@ -200,13 +203,13 @@ def _build_parser():
     )
     map_flags.add_argument("--case", choices=("a", "b"), default="a", help="solution branch")
     u_window = argparse.ArgumentParser(add_help=False)
-    end = ("%s end of the u-window; default: that end of the chart verify certifies, u* + [0.2, 2] for c <= 1, "
-           "else the middle of the feasible window's upper half")
+    end = ("%s end of the u-window; default: that end of the chart verify certifies, "
+           "u* + [min(0.2 L, 0.1 h), min(2 L, 0.85 h)], L = sqrt(m/c) and h the feasible half width (inf for c <= 1)")
     u_window.add_argument("--u0", type=_finite_float, help=end % "lower")
     u_window.add_argument("--u1", type=_finite_float, help=end % "upper")
     t_window = argparse.ArgumentParser(add_help=False)
     t_window.add_argument("--t0", type=_finite_float, default=0.0)
-    t_window.add_argument("--t1", type=_finite_float, default=math.pi)
+    t_window.add_argument("--t1", type=_finite_float, help="upper end of the t-window; default: min(pi, pi/sqrt(c)), half a period at most")
 
     sp = sub.add_parser("project", parents=[map_flags], help="map one surface point to the plane")
     sp.add_argument("--t", type=_finite_float, required=True)
@@ -215,7 +218,7 @@ def _build_parser():
 
     sp = sub.add_parser("verify", parents=[map_flags], help="run all residual checks, exit 0 iff every one passes")
     sp.add_argument("--grid", type=_parse_grid, default=(50, 50), help="NTxNU sample grid")
-    sp.add_argument("--fd-step", type=_finite_float, default=1e-5)
+    sp.add_argument("--fd-step", type=_finite_float, default=1e-5, help="central-difference step: radians in t, units of L in u")
     sp.add_argument("--seed", type=int, default=0, help="picks the start frac(seed phi) of the golden-ratio draws")
     sp.set_defaults(handler=_cmd_verify)
 

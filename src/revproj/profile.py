@@ -109,8 +109,9 @@ class QuadraticProfile:
             object.__setattr__(self, name, value)
 
     def radius_sq(self, u):
-        """f(u)^2 = (c u + d) u + k at u, a float or a numpy array."""
-        return (self.c * u + self.d) * u + self.k
+        """f(u)^2 = c (u - u*)^2 + m at u, a float or a numpy array."""
+        x = u - self.singular_u
+        return self.c * (x * x) + self.radius_sq_min
 
     def radius(self, u):
         """f(u), without forming f'' as profile_jet does."""
@@ -176,12 +177,12 @@ make_quadratic_profile = QuadraticProfile  # the name benchmark/, the tests and 
 def profile_jet(p: QuadraticProfile, u: float):
     """Evaluate (f, f', f'') at u, a float (giving numpy scalars) or an array.
 
-    f = sqrt(c u^2 + d u + k), f' = (2cu + d)/(2f), f'' = c m/f^3.
+    f = sqrt(c (u - u*)^2 + m), f' = c (u - u*)/f, f'' = c (m/f^2)/f: finite wherever f^2 is.
     """
     w = p.radius_sq(u)
     f = np.sqrt(w)
-    f_prime = (2.0 * p.c * u + p.d) / (2.0 * f)
-    f_second = p.c * p.radius_sq_min / (f * w)
+    f_prime = p.c * (u - p.singular_u) / f
+    f_second = p.c * (p.radius_sq_min / w) / f
     return f, f_prime, f_second
 
 
@@ -231,15 +232,13 @@ def admissible_interval(p: QuadraticProfile, requested: DomainInterval) -> Domai
 
 
 def reference_interval(p: QuadraticProfile) -> DomainInterval:
-    """A representative admissible interval on the upper side of u*, the
-    default chart of checks and exports.  For c <= 1 this is
-    [u* + 0.2, u* + 2]; for c > 1 the feasibility window is bounded and the
-    middle of its upper half is used instead."""
-    us = p.singular_u
-    if p.c <= 1.0:
-        return admissible_interval(p, DomainInterval(us + 0.2, us + 0.2 + 1.8))
+    """The default chart of checks and exports, admissible and above u*:
+    u* + [min(0.2 L, 0.10 h), min(2 L, 0.85 h)], h the feasible window's
+    half width (infinite for c <= 1, where the chart is u* + L [0.2, 2]).
+    Both ends are multiples of the profile's lengths, so they scale with it."""
+    us, length = p.singular_u, p.length
     half = slope_feasible_span(p)[1] - us
-    return admissible_interval(p, DomainInterval(us + 0.10 * half, us + 0.85 * half))
+    return admissible_interval(p, DomainInterval(us + min(0.2 * length, 0.10 * half), us + min(2.0 * length, 0.85 * half)))
 
 
 # Carlson's stopping rule for R_D, 4^-n (r/4)^(-1/6) spread < A_n with

@@ -42,10 +42,10 @@ ANALYTIC_ISOMETRY_FLOOR = 1e-12
 # discriminant edge, 3 to 96 samples, random c0, t_base, t and branch) the
 # deviations reached 1.02 eps times the term scale.
 STRAIGHTNESS_UNIT_BOUND = 1e-12
-# central-difference steps check_local_isometry accepts; 0 selects the
-# analytic Jacobian instead
+# central-difference steps check_local_isometry accepts, in radians for t and
+# in units of the length L for u; 0 selects the analytic Jacobian instead
 FD_STEP_RANGE = (1e-8, 1e-3)
-STRUCTURAL_BOUND = 1e-10  # fixed bounds of the structural identities
+STRUCTURAL_BOUND = 1e-10  # bound of the structural identities (over L for those in 1/length)
 ODE_ORACLE_BOUND = 1e-8  # and of the RK4 oracle, which have no error model
 # The RK4 oracle's step counts: its work arrays peak at ~17 doubles per step,
 # ~14 MB at the cap.  verify_report takes ODE_VERIFY_STEPS over its chart.
@@ -145,22 +145,24 @@ def isometry_tolerance(
     scale = max|u| + 2|w0| >= max|Phi| over the stencil each evaluation
     rounds to a few eps * scale, and the rounded phase b(t) (off by
     eps |b|) turns u + w0 by as much again times |b|.  A central difference
-    divides that by h: eps * scale (1 + max|b|) / h.  Its truncation error
-    in t is h^2 |d^3 Phi/dt^3| / 6 = h^2 c f_max / 6 (d^3 Phi/dt^3 =
+    divides that by its step, h radians in t and h L in u.  The truncation
+    error in t is h^2 |d^3 Phi/dt^3| / 6 = h^2 c f_max / 6 (d^3 Phi/dt^3 =
     (-i b')^3 dPhi/du (u + w0) and sqrt(c) |u + w0| = f); Phi is affine in u,
-    so the u-difference has none.  The analytic columns only round:
+    so the u-difference has none.  Both rows take the larger difference's
+    bound, the t-difference's where L = 1.  The analytic columns only round:
     |dPhi/du| to a few eps and |dPhi/dt| = sqrt(c) |u + w0| to a few
     eps sqrt(c) scale, kept above the 1e-12 floor.
     """
-    h = fd_step
-    scale = _term_scale(p, (u_span.lo - h, u_span.hi + h))
+    h, h_u = fd_step, fd_step * p.length
+    scale = _term_scale(p, (u_span.lo - h_u, u_span.hi + h_u))
     eps = np.finfo(float).eps
     if h == 0.0:
         return max(ANALYTIC_ISOMETRY_FLOOR, ANALYTIC_ISOMETRY_SAFETY * eps * max(1.0, p.sqrt_c * scale))
     bp = b_slope(params, p)  # b(t) = b' t + c0
     b_max = max(abs(bp * (t_span[0] - h) + params.c0), abs(bp * (t_span[1] + h) + params.c0))
-    f_max = max(p.radius(u_span.lo - h), p.radius(u_span.hi + h))
-    return FD_ISOMETRY_SAFETY * (eps * scale * (1.0 + b_max) / h + h * h * p.c * f_max / 6.0)
+    f_max = max(p.radius(u_span.lo - h_u), p.radius(u_span.hi + h_u))
+    roundoff = eps * scale * (1.0 + b_max)
+    return FD_ISOMETRY_SAFETY * max(roundoff / h_u, roundoff / h + h * h * p.c * f_max / 6.0)
 
 
 def check_local_isometry(
@@ -175,14 +177,15 @@ def check_local_isometry(
     """Residuals of the two preserved-length conditions on an nt x nu grid:
     | |dPhi/du| - 1 | and | |dPhi/dt| - f(u) |.
 
-    With fd_step > 0 the derivatives are central differences of the map
-    (rows ``[fd]``); fd_step = 0 switches to the analytic Jacobian (rows
-    ``[analytic]``).  The bound is :func:`isometry_tolerance`'s.  Raises
-    DomainExceeded when the u-stencil would leave the admissible interval.
+    With fd_step > 0 the derivatives are central differences of steps fd_step
+    in t and fd_step L in u (rows ``[fd]``); fd_step = 0 switches to the
+    analytic Jacobian (rows ``[analytic]``).  The bound is isometry_tolerance's.
+    Raises DomainExceeded when the u-stencil would leave the admissible interval.
     """
     if fd_step != 0.0 and not FD_STEP_RANGE[0] <= fd_step <= FD_STEP_RANGE[1]:
         raise ValueError("fd_step must be 0 (analytic) or within [%g, %g]" % FD_STEP_RANGE)
-    lo_st, hi_st = u_span.lo - fd_step, u_span.hi + fd_step
+    h, h_u = fd_step, fd_step * p.length
+    lo_st, hi_st = u_span.lo - h_u, u_span.hi + h_u
     u_star = p.singular_u + 0.0  # + 0.0 folds -0.0 to 0.0 in the message
     if lo_st <= u_star <= hi_st:
         raise DomainExceeded("stencil [%g, %g] touches the zero-slope abscissa u*=%g" % (lo_st, hi_st, u_star))
@@ -193,12 +196,11 @@ def check_local_isometry(
     ts = np.linspace(t_span[0], t_span[1], nt)
     us = np.linspace(u_span.lo, u_span.hi, nu)
     t, u = ts[:, None], us[None, :]
-    h = fd_step
     if h == 0.0:
         _, zt, zu = plane_map(p, params, t, u)
         du_norm, dt_norm = np.broadcast_to(np.abs(zu), zt.shape), np.abs(zt)
     else:
-        du_norm = np.abs(plane_map(p, params, t, u + h)[0] - plane_map(p, params, t, u - h)[0]) / (2.0 * h)
+        du_norm = np.abs(plane_map(p, params, t, u + h_u)[0] - plane_map(p, params, t, u - h_u)[0]) / (2.0 * h_u)
         dt_norm = np.abs(plane_map(p, params, t + h, u)[0] - plane_map(p, params, t - h, u)[0]) / (2.0 * h)
     f = p.radius(us)
 
@@ -261,8 +263,8 @@ def check_meridian_straightness(p, params, t, u_samples) -> ResidualReport:
 
 
 def check_structural_identities(p: QuadraticProfile, u_samples):
-    """Reports, each bounded by STRUCTURAL_BOUND, on the four identities tying
-    f and the turning angle:
+    """Reports, bounded by STRUCTURAL_BOUND (over L for the first two, which
+    are in 1/length), on the four identities tying f and the turning angle:
 
         f'' = (a')^2 f
         2 f' a' + f a'' = 0          (a'' taken analytically from a' ~ 1/f^2)
@@ -272,15 +274,16 @@ def check_structural_identities(p: QuadraticProfile, u_samples):
     us = np.asarray(u_samples, dtype=float)
     f, fp, fpp = profile_jet(p, us)
     a, ap = meridian_turning(p, us)
-    app = -2.0 * p.c * p.length * fp / (f * f * f)
+    app = -2.0 * (p.c * p.length / f) * (fp / f) / f  # a'' = -2 a' f'/f, with no f^3 to overflow
     cos_a, sin_a = np.cos(a), np.sin(a)
+    per_length = STRUCTURAL_BOUND / p.length
     rows = {
-        "f'' - (a')^2 f": fpp - ap * ap * f,
-        "2 f' a' + f a''": 2.0 * fp * ap + f * app,
-        "f' cos a - f a' sin a": fp * cos_a - f * ap * sin_a,
-        "f' sin a + f a' cos a - sqrt(c)": fp * sin_a + f * ap * cos_a - p.sqrt_c,
+        "f'' - (a')^2 f": (fpp - ap * ap * f, per_length),
+        "2 f' a' + f a''": (2.0 * fp * ap + f * app, per_length),
+        "f' cos a - f a' sin a": (fp * cos_a - f * ap * sin_a, STRUCTURAL_BOUND),
+        "f' sin a + f a' cos a - sqrt(c)": (fp * sin_a + f * ap * cos_a - p.sqrt_c, STRUCTURAL_BOUND),
     }
-    return [_summarize(name, np.abs(r), u_samples.__getitem__, STRUCTURAL_BOUND) for name, r in rows.items()]
+    return [_summarize(name, np.abs(r), u_samples.__getitem__, bound) for name, (r, bound) in rows.items()]
 
 
 def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, n_steps: int) -> ResidualReport:
@@ -307,7 +310,7 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, n_steps: int) -> Res
     h = (u1 - u0) / n_steps
     u = u0 + 0.5 * h * np.arange(2 * n_steps + 1)  # nodes at even j
     f = p.radius(u)
-    q = -((2.0 * p.c * u + p.d) / f) / f  # -2 f'/f, f' = (f^2)'/(2f), to the bit
+    q = -((2.0 * p.c * (u - p.singular_u)) / f) / f  # -2 f'/f, f' = (f^2)'/(2f), to the bit
     q0, q_mid, q1 = q[:-1:2], q[1::2], q[2::2]
     # the stage values of a' over a'_i; the stage slopes of a' are q times them
     s2 = 1.0 + 0.5 * h * q0
@@ -332,12 +335,12 @@ def _golden_draws(seed: int, n: int):
 def verify_report(p: QuadraticProfile, params: ProjectionParams, grid, fd_step: float, seed):
     """The ten reports of ``revproj verify`` in print order, on
     reference_interval(p): isometry on the (nt, nu) grid by central
-    differences of step fd_step, then analytically; the most bent of three
-    meridian images; the structural identities at 1,000 abscissae; the RK4
-    oracle in ODE_VERIFY_STEPS steps over the chart (h = 1e-3, to rounding,
-    on the width-1.8 chart of every c <= 1).  The angles and abscissae are
-    2 pi times and lo + W times the first 3 and the next 1,000 golden-ratio
-    draws frac(s + i phi), with the integer seed picking s = frac(seed phi)."""
+    differences of steps fd_step in t and fd_step L in u, then analytically;
+    the most bent of three meridian images; the structural identities at
+    1,000 abscissae; the RK4 oracle in ODE_VERIFY_STEPS steps over the chart
+    (h = 1e-3 L on the width-1.8 L chart of every c <= 1).  The angles and
+    abscissae are 2 pi times and lo + W times the first 3 and the next 1,000
+    golden-ratio draws frac(s + i phi), the integer seed picking s = frac(seed phi)."""
     lo, hi = FD_STEP_RANGE
     if not lo <= fd_step <= hi:  # 0, the analytic mode, would fill the [fd] rows
         raise ValueError("--fd-step must be within [%g, %g], got %r" % (lo, hi, fd_step))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -15,16 +16,19 @@ from revproj import (
     DomainInterval,
     GraticuleSpec,
     MeshSpec,
+    PlanePoint,
     ResidualReport,
     SurfacePoint,
     admissible_interval,
     export_graticule_svg,
     export_mesh_obj,
+    invert,
     make_projection_params,
     make_quadratic_profile,
     project,
     reference_interval,
     sample_table_csv,
+    t_period,
     verify_report,
 )
 from revproj.cli import cli_dispatch
@@ -582,7 +586,8 @@ class TestFlagsReachTheLibrary:
         code, _, err = run(capsys, "export-graticule", *self.COEFFS, *self.MAP_FLAGS, *self.WINDOW,
                            "--samples", "11", "-o", str(tmp_path / "cli.svg"))
         assert code == 0, err
-        spec = GraticuleSpec(t_range=(0.0, math.pi), u_range=window, samples_per_curve=11)
+        # without --t1 the window is half a period, pi/sqrt(2) < pi at c = 2
+        spec = GraticuleSpec(t_range=(0.0, t_period(p) / 2.0), u_range=window, samples_per_curve=11)
         export_graticule_svg(p, params, spec, str(tmp_path / "lib.svg"))
         assert (tmp_path / "cli.svg").read_bytes() == (tmp_path / "lib.svg").read_bytes()
 
@@ -698,6 +703,53 @@ class TestDefaultWindow:
         assert np.max(np.abs(moved_table[:, 1] - (table[:, 1] + s))) <= bound
         shift = (moved_table[:, 2] - table[:, 2]) + 1j * (moved_table[:, 3] - table[:, 3])
         assert np.max(np.abs(shift - s)) <= bound
+
+    @pytest.mark.parametrize("command, ext", EMITTERS)
+    @pytest.mark.parametrize("c, d, k", [(1.0, 0.0, 1.0), (0.6, 0.3, 1.5), (2.5, -1.0, 0.6), (1e3, 0.0, 1.0)])
+    @pytest.mark.parametrize("lam", [1e-6, 1e6])
+    def test_default_files_scale_with_the_profile(self, tmp_path, command, ext, c, d, k, lam):
+        # the homothety u -> lu, f -> lf maps (c, d, k) to (c, l d, l^2 k), and
+        # the default chart moves with it, so every length in a default file
+        # is l times the l = 1 file's; the t-window and the text around the
+        # numbers stay. Lengths: the mesh's vertices, the graticule's points,
+        # viewBox and stroke, and the table's u, x and y
+        def written(coeffs, name):
+            path = tmp_path / name
+            assert cli_dispatch([command, *(f for n, v in zip("cdk", coeffs) for f in ("--" + n, repr(v))),
+                                 "-o", str(path)]) == 0
+            text = path.read_text()
+            if ext == "csv":
+                rows = np.loadtxt(path, delimiter=",", skiprows=1)
+                return text.splitlines()[0], rows[:, 0], rows[:, 1:].ravel()
+            pattern = r"^(v) (.*)$" if ext == "obj" else r'(viewBox|points|stroke-width)="([^"]*)"'
+            lengths = [float(v) for _, field in re.findall(pattern, text, re.M) for v in re.split("[ ,]", field)]
+            return re.sub(pattern, r"\1", text, flags=re.M), None, np.array(lengths)
+
+        text, angles, lengths = written((c, d, k), "unit." + ext)
+        image_text, image_angles, image_lengths = written((c, lam * d, lam * lam * k), "image." + ext)
+        assert image_text == text and np.array_equal(image_angles, angles)
+        bound = 16.0 * np.finfo(float).eps * np.max(np.abs(image_lengths))
+        assert np.max(np.abs(image_lengths - lam * lengths)) <= bound
+
+    @pytest.mark.parametrize("c, d, k", [(0.5, 0.2, 1.0), (1.0, 0.0, 1.0), (9.0, -1.0, 2.0), (1e3, 0.0, 1.0)])
+    def test_default_t_window_is_one_sheet(self, tmp_path, c, d, k):
+        # without --t1 the t-window is [0, min(pi, T/2)], T = 2 pi/sqrt(c) the
+        # period of Phi in t, so each default table point inverts back to
+        # itself from one seed in the middle of the window
+        p = make_quadratic_profile(c, d, k)
+        coeffs = ("--c", repr(c), "--d", repr(d), "--k", repr(k))
+        for command in ("export-graticule", "table"):
+            args = cli_mod._build_parser().parse_args([command, *coeffs, "-o", "unused"])
+            cli_mod._inputs(args)
+            assert args.t1 == min(math.pi, t_period(p) / 2.0)
+        path = tmp_path / "t.csv"
+        assert cli_dispatch(["table", *coeffs, "--grid", "9x6", "-o", str(path)]) == 0
+        t, u, x, y = np.loadtxt(path, delimiter=",", skiprows=1).T
+        seed = SurfacePoint(0.5 * t.max(), 0.5 * (u.min() + u.max()))
+        params = make_projection_params(p)
+        back = np.array([dataclasses.astuple(invert(p, params, PlanePoint(*q), seed)) for q in zip(x, y)])
+        assert np.max(np.abs(back[:, 0] - t)) <= 1e-9 * t.max()
+        assert np.max(np.abs(back[:, 1] - u)) <= 1e-9 * p.length
 
 
 class TestFlagGroups:

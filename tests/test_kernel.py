@@ -102,17 +102,19 @@ def test_spot_value_is_exact():
 
 
 def isometry_loop(p, params, u_span, t_span, nt, nu, h):
-    """check_local_isometry as a per-point loop over project / jacobian."""
+    """check_local_isometry as a per-point loop over project / jacobian,
+    with steps h in t and h L in u."""
     res_u, res_t, points = [], [], []
+    h_u = h * p.length
     for t in np.linspace(t_span[0], t_span[1], nt):
         for u in np.linspace(u_span.lo, u_span.hi, nu):
             if h == 0.0:
                 jac = jacobian(p, params, SurfacePoint(t, u))
                 du, dt = math.hypot(jac[0, 1], jac[1, 1]), math.hypot(jac[0, 0], jac[1, 0])
             else:
-                up, um = project(p, params, SurfacePoint(t, u + h)), project(p, params, SurfacePoint(t, u - h))
+                up, um = project(p, params, SurfacePoint(t, u + h_u)), project(p, params, SurfacePoint(t, u - h_u))
                 tp, tm = project(p, params, SurfacePoint(t + h, u)), project(p, params, SurfacePoint(t - h, u))
-                du = math.hypot(up.x - um.x, up.y - um.y) / (2.0 * h)
+                du = math.hypot(up.x - um.x, up.y - um.y) / (2.0 * h_u)
                 dt = math.hypot(tp.x - tm.x, tp.y - tm.y) / (2.0 * h)
             res_u.append(abs(du - 1.0))
             res_t.append(abs(dt - profile_jet(p, u)[0]))

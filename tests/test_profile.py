@@ -30,7 +30,7 @@ from revproj import (
 )
 from revproj.profile import TableRowError
 from revproj.projection import _map_constants
-from revproj.verifier import check_local_isometry
+from revproj.verifier import check_local_isometry, check_structural_identities
 from helpers import gaussian_curvature, random_profiles, subprocess_env
 
 
@@ -449,7 +449,39 @@ class TestCurvatureAndMetric:
                 assert gaussian_curvature(p, u) < 0
 
 
+@st.composite
+def chart_points(draw):
+    """A profile with c in 10^[-3, 3], k in 10^[-6, 6] and d = s 2 sqrt(c k),
+    the gap 1 - |s| in 10^[-14, 0], and a u on its chart scale,
+    u* + L [0.2, 2]."""
+    c, k = 10.0 ** draw(st.floats(-3.0, 3.0)), 10.0 ** draw(st.floats(-6.0, 6.0))
+    s = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - 10.0 ** draw(st.floats(-14.0, 0.0)))
+    try:
+        p = QuadraticProfile(c, s * 2.0 * math.sqrt(c) * math.sqrt(k), k)
+    except RejectedProfile:  # rounding took d past the edge
+        assume(False)
+    return p, p.singular_u + p.length * draw(st.floats(0.2, 2.0))
+
+
 class TestRadius:
+    @settings(max_examples=300, deadline=None)
+    @given(chart_points())
+    def test_radius_sq_and_slope_within_a_few_eps_of_mpmath(self, point):
+        # f^2 at a rounded u is off by its condition in u, eps 2c|u||u - u*|,
+        # plus eps f^2; f' = c (u - u*)/f by eps (|f'| + c|u|/f). Near the
+        # discriminant edge |u| >> |u - u*| ~ L, where (c u + d) u + k cancels
+        import mpmath
+
+        p, u = point
+        eps = np.finfo(float).eps
+        f_sq, f_prime = p.radius_sq(u), profile_jet(p, u)[1]
+        with mpmath.workdps(50):
+            c, d, k, x = map(mpmath.mpf, (p.c, p.d, p.k, u))
+            exact_sq = (c * x + d) * x + k
+            exact_prime = (c * x + d / 2) / mpmath.sqrt(exact_sq)
+            assert abs(f_sq - exact_sq) <= 4 * eps * (exact_sq + 2 * c * abs(x) * abs(x + d / (2 * c)))
+            assert abs(f_prime - exact_prime) <= 4 * eps * (abs(exact_prime) + c * abs(x) / mpmath.sqrt(exact_sq))
+
     @settings(max_examples=100, deadline=None)
     @given(profiles(), st.floats(-3.0, 3.0))
     def test_is_profile_jets_f_to_the_bit(self, p, u):
@@ -458,8 +490,8 @@ class TestRadius:
         assert np.array_equal(p.radius(us), profile_jet(p, us)[0])
 
     def test_huge_radius_reads_without_warning(self, tmp_path):
-        # f^2 = u^2 + 1e300: f'' = c m/(f w) overflows in f w, which the
-        # readers of f alone (the mesh's vertices among them) do not form
+        # f^2 = u^2 + 1e300: no reader of f, f' or f'' forms f f^2, which
+        # would overflow
         p = make_quadratic_profile(1, 0, 1e300)
         params = make_projection_params(p)
         span = reference_interval(p)
@@ -468,6 +500,7 @@ class TestRadius:
             warnings.simplefilter("error")
             for fd_step in (0.0, 1e-5):
                 check_local_isometry(p, params, span, nt=5, nu=5, fd_step=fd_step)
+            assert all(rep.passed for rep in check_structural_identities(p, np.linspace(span.lo, span.hi, 9)))
             export_mesh_obj(p, MeshSpec(4, 3, span, span.lo), str(path))
         vertices = [tuple(map(float, line.split()[1:])) for line in open(path) if line.startswith("v ")]
         # the ring at t = pi/2 starts at (0, f(u0), g(u0) = 0)

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from revproj import (
     verify_report,
 )
 import revproj.verifier as verifier_mod
+from revproj.cli import cli_dispatch
 from revproj.verifier import ODE_MAX_STEPS, _summarize, isometry_tolerance, straightness_tolerance
 from helpers import gaussian_curvature, random_profiles
 
@@ -524,3 +528,68 @@ class TestCurvatureReport:
         for p in random_profiles(29, 10):
             span = reference_interval(p)
             assert np.max(gaussian_curvature(p, np.linspace(span.lo, span.hi, 40))) < 0.0
+
+
+def cli_outcome(*argv):
+    """cli_dispatch's exit code and stdout on argv, with any warning an error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_dispatch(list(argv))
+    return code, out.getvalue()
+
+
+def coefficient_flags(c, d, k):
+    return "--c", repr(c), "--d", repr(d), "--k", repr(k)
+
+
+# d = s 2 sqrt(ck): s = d/(2 sqrt(ck)) is the discriminant ratio, |s| < 1
+EXTENDED_SWEEP = [(c, s * 2.0 * math.sqrt(c * k), k) for c in (1e-3, 1e-2, 0.3, 1.0, 3.0, 30.0, 1e3)
+                  for k in (1e-12, 1e-6, 1e-2, 1.0, 1e4, 1e10, 1e32, 1e300) for s in (0.0, 0.9, -0.999)]
+NEAR_EDGE_SWEEP = [(c, sign * (1.0 - gap) * 2.0 * math.sqrt(c * k), k) for c in (1e-3, 0.3, 1.0, 3.0, 1e3)
+                   for k in (1e-6, 1.0, 1e6) for gap in (1e-6, 1e-10, 1e-14) for sign in (1.0, -1.0)]
+
+
+@st.composite
+def homothetic_images(draw):
+    """The coefficients of a profile and of its image (c, lam d, lam^2 k)
+    under u -> lam u, f -> lam f, and verify's map flags: c in 10^[-3, 3],
+    k in 10^[-6, 6], d up to 0.999 of the discriminant edge, lam in
+    10^[-6, 6], either branch, the principal or mirrored theta0, and a
+    random c0 and seed."""
+    c, k = 10.0 ** draw(st.floats(-3.0, 3.0)), 10.0 ** draw(st.floats(-6.0, 6.0))
+    d = draw(st.floats(-0.999, 0.999)) * 2.0 * math.sqrt(c * k)
+    lam = 10.0 ** draw(st.floats(-6.0, 6.0))
+    map_flags = ("--case", draw(st.sampled_from(["a", "b"])),
+                 "--theta0-branch", draw(st.sampled_from(["principal", "mirror"])),
+                 "--c0", repr(draw(st.floats(-math.pi, math.pi))), "--seed", str(draw(st.integers(0, 2**31))))
+    return (c, d, k), (c, lam * d, lam * lam * k), map_flags
+
+
+class TestOneLengthScale:
+    # every default length of verify and classify quadratic: is a multiple
+    # of the profile's length L, which the homothety scales by lam, and so
+    # no verdict moves with the surface's size
+
+    @pytest.mark.parametrize("sweep", [EXTENDED_SWEEP, NEAR_EDGE_SWEEP], ids=["extended", "near-edge"])
+    def test_every_profile_of_the_sweep_verifies(self, sweep):
+        failed = [coeffs for coeffs in sweep
+                  if cli_outcome("verify", *coefficient_flags(*coeffs), "--grid", "20x20")[0] != 0]
+        assert failed == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(homothetic_images())
+    def test_verify_pass_flags_do_not_move(self, images):
+        here, there, map_flags = images
+        (code, out), (image_code, image_out) = (
+            cli_outcome("verify", *coefficient_flags(*coeffs), *map_flags, "--grid", "20x20") for coeffs in (here, there))
+        assert image_code == code
+        assert [line.split()[-1] for line in image_out.splitlines()] == [line.split()[-1] for line in out.splitlines()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(homothetic_images())
+    def test_classify_gate_does_not_move(self, images):
+        here, there, _ = images
+        (code, out), (image_code, image_out) = (
+            cli_outcome("classify", "--profile", "quadratic:%r,%r,%r" % coeffs) for coeffs in (here, there))
+        assert (image_code, image_out.splitlines()[:2]) == (code, out.splitlines()[:2])
