@@ -31,7 +31,7 @@ from .profile import (
     make_quadratic_profile,
     reference_interval,
 )
-from .projection import Branch, make_projection_params, project, t_period
+from .projection import Branch, _default_t_window, make_projection_params, project
 
 
 def _finite_float(text):
@@ -49,14 +49,14 @@ def _inputs(args):
     """The profile, map parameters and admissible u-window that a
     subcommand's flags name, in that order; params is None without --case and
     the window without --u0/--u1, where a missing end is reference_interval(p)'s.
-    A missing --t1 is set in args to min(pi, t_period(p)/2): half a period at most."""
+    A missing --t1 is set in args to _default_t_window(p)'s: half a period at most."""
     p = make_quadratic_profile(args.c, args.d, args.k)
     params = window = None
     if hasattr(args, "case"):
         branch = Branch.CASE_A if args.case == "a" else Branch.CASE_B
         params = make_projection_params(p, c0=args.c0, branch=branch, mirror_theta0=args.theta0_branch == "mirror")
     if getattr(args, "t1", 0.0) is None:
-        args.t1 = min(math.pi, t_period(p) / 2.0)
+        args.t1 = _default_t_window(p)[1]
     if hasattr(args, "u0"):
         lo, hi = args.u0, args.u1
         if lo is None or hi is None:  # only then: a given window computes no chart
@@ -218,7 +218,7 @@ def _build_parser():
 
     sp = sub.add_parser("verify", parents=[map_flags], help="run all residual checks, exit 0 iff every one passes")
     sp.add_argument("--grid", type=_parse_grid, default=(50, 50), help="NTxNU sample grid")
-    sp.add_argument("--fd-step", type=_finite_float, default=1e-5, help="central-difference step: radians in t, units of L in u")
+    sp.add_argument("--fd-step", type=_finite_float, default=1e-5, help="central-difference step: of the phase sqrt(c) t in t, of min(L, h) in u")
     sp.add_argument("--seed", type=int, default=0, help="picks the start frac(seed phi) of the golden-ratio draws")
     sp.set_defaults(handler=_cmd_verify)
 

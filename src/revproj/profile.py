@@ -28,9 +28,9 @@ from .errors import (
     SingularitySplit,
 )
 
-# Clipped endpoints are pulled inward by this many lengths L = sqrt(m/c),
-# which scale with the profile, so sqrt(1 - f'^2) never sees a negative argument
-# from rounding just past the boundary.
+# Clipped endpoints are pulled inward by this many lengths min(L, h), which
+# scale with the profile and fit inside its feasible window, so sqrt(1 - f'^2)
+# never sees a negative argument from rounding just past the boundary.
 BOUNDARY_INSET = 1e-9
 
 
@@ -70,11 +70,11 @@ class QuadraticProfile:
     and makes f'' strictly positive, which the projection construction
     requires.  Every downstream closed form reads f^2 = c (u - u*)^2 + m
     through its invariants, derived once here and never passed in: the neck
-    singular_u = u* = -d/(2c), radius_sq_min = m = f(u*)^2 = k - d^2/(4c)
-    and the length L = sqrt(m/c), with sqrt_c.  m is one exact ratio of the
-    coefficients' integer ratios, rounded once, so it neither cancels near
-    the discriminant edge nor overflows or underflows; the admissibility
-    test is m > 0.
+    singular_u = u* = -d/(2c), radius_sq_min = m = f(u*)^2 = k - d^2/(4c), the length
+    L = sqrt(m/c) and the half_width h = L/sqrt(c - 1) of the window u* +- h where
+    f'^2 <= 1 (inf for c <= 1), with sqrt_c.  m is one exact ratio of the coefficients'
+    integer ratios, rounded once, so it neither cancels near the discriminant edge nor
+    overflows or underflows; the admissibility test is m > 0.
     """
 
     c: float
@@ -84,6 +84,7 @@ class QuadraticProfile:
     singular_u: float = field(init=False)
     radius_sq_min: float = field(init=False)
     length: float = field(init=False)
+    half_width: float = field(init=False)
 
     def __post_init__(self):
         c, d, k = self.c, self.d, self.k
@@ -104,8 +105,10 @@ class QuadraticProfile:
                 "everywhere and f'' strictly positive" % (d * d - 4.0 * c * k)
             )
         sqrt_c = math.sqrt(c)
+        length = math.sqrt(m) / sqrt_c
+        half_width = length / math.sqrt(c - 1.0) if c > 1.0 else math.inf
         for name, value in (("c", c), ("d", d), ("k", k), ("sqrt_c", sqrt_c), ("singular_u", -d / (2.0 * c)),
-                            ("radius_sq_min", m), ("length", math.sqrt(m) / sqrt_c)):
+                            ("radius_sq_min", m), ("length", length), ("half_width", half_width)):
             object.__setattr__(self, name, value)
 
     def radius_sq(self, u):
@@ -186,58 +189,46 @@ def profile_jet(p: QuadraticProfile, u: float):
     return f, f_prime, f_second
 
 
-def slope_feasible_span(p: QuadraticProfile):
-    """The open u-range on which f'(u)^2 <= 1, i.e. where (f, g) can be an
-    arc-length curve.  Unbounded for c <= 1; for c > 1 it is the symmetric
-    window u* +- L/sqrt(c - 1) around the zero-slope abscissa."""
-    if p.c <= 1.0:
-        return (-math.inf, math.inf)
-    half = p.length / math.sqrt(p.c - 1.0)
-    us = p.singular_u
-    return (us - half, us + half)
+def _shortest_length(p: QuadraticProfile) -> float:
+    """min(L, h), L for c <= 2: the unit of the clip inset and verify's u-stencil."""
+    return min(p.length, p.half_width)
 
 
 def admissible_interval(p: QuadraticProfile, requested: DomainInterval) -> DomainInterval:
     """Largest sub-interval of ``requested`` that excludes the zero-slope
-    abscissa u* and satisfies f'(u)^2 <= 1 throughout.
+    abscissa u* and lies in u* +- h, where f'(u)^2 <= 1.
 
     Raises SingularitySplit with both candidate sides when u* is interior to
     ``requested``; raises EmptyDomain when nothing of ``requested`` is
-    feasible.  Endpoints clipped at the feasibility boundary are pulled
-    inward by BOUNDARY_INSET times the length L.
+    feasible.  Endpoints clipped at u* or at the feasibility boundary are
+    pulled inward by BOUNDARY_INSET times min(L, h).
     """
     us = p.singular_u
     if requested.lo < us < requested.hi:
         raise SingularitySplit(lower=(requested.lo, us), upper=(us, requested.hi))
     lo, hi = requested.lo, requested.hi
-    inset = BOUNDARY_INSET * p.length
+    inset = BOUNDARY_INSET * _shortest_length(p)
     if us == lo:
         lo = us + inset
     if us == hi:
         hi = us - inset
-    feas_lo, feas_hi = slope_feasible_span(p)
-    if math.isfinite(feas_lo):
-        if hi <= feas_lo or lo >= feas_hi:
-            raise EmptyDomain(
-                "requested [%g, %g] lies outside the arc-length-feasible window [%g, %g]"
-                % (requested.lo, requested.hi, feas_lo, feas_hi)
-            )
-        if lo < feas_lo:
-            lo = feas_lo + inset
-        if hi > feas_hi:
-            hi = feas_hi - inset
-    if not lo < hi:
-        raise EmptyDomain("requested [%g, %g] leaves no admissible width" % (requested.lo, requested.hi))
+    feas_lo, feas_hi = us - p.half_width, us + p.half_width
+    if lo < feas_lo:
+        lo = feas_lo + inset
+    if hi > feas_hi:
+        hi = feas_hi - inset
+    if not lo < hi:  # also where requested lies outside u* +- h
+        raise EmptyDomain("requested [%g, %g] leaves no admissible width in the arc-length-feasible window [%g, %g]"
+                          % (requested.lo, requested.hi, feas_lo, feas_hi))
     return DomainInterval(lo, hi)
 
 
 def reference_interval(p: QuadraticProfile) -> DomainInterval:
     """The default chart of checks and exports, admissible and above u*:
-    u* + [min(0.2 L, 0.10 h), min(2 L, 0.85 h)], h the feasible window's
-    half width (infinite for c <= 1, where the chart is u* + L [0.2, 2]).
+    u* + [min(0.2 L, 0.10 h), min(2 L, 0.85 h)], h the profile's
+    ``half_width`` (infinite for c <= 1, where the chart is u* + L [0.2, 2]).
     Both ends are multiples of the profile's lengths, so they scale with it."""
-    us, length = p.singular_u, p.length
-    half = slope_feasible_span(p)[1] - us
+    us, length, half = p.singular_u, p.length, p.half_width
     return admissible_interval(p, DomainInterval(us + min(0.2 * length, 0.10 * half), us + min(2.0 * length, 0.85 * half)))
 
 

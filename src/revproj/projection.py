@@ -146,6 +146,11 @@ def t_period(p: QuadraticProfile) -> float:
     return 2.0 * math.pi / p.sqrt_c
 
 
+def _default_t_window(p: QuadraticProfile):
+    """[0, min(pi, T/2)], at most half a period: the default t-window of the emitters and verify."""
+    return 0.0, min(math.pi, t_period(p) / 2.0)
+
+
 def invert(p: QuadraticProfile, params: ProjectionParams, q: PlanePoint, seed: SurfacePoint) -> SurfacePoint:
     """Invert Phi in closed form.
 

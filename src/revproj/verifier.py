@@ -24,11 +24,11 @@ from .profile import (
     DomainInterval,
     GeneralProfile,
     QuadraticProfile,
+    _shortest_length,
     profile_jet,
     reference_interval,
-    slope_feasible_span,
 )
-from .projection import ProjectionParams, b_slope, meridian_turning, plane_map
+from .projection import ProjectionParams, _default_t_window, b_slope, meridian_turning, plane_map
 
 # Safety factors of isometry_tolerance over its error model.  Over 150 random
 # profiles (c from 1e-3 to 1e3, k from 1e-8 to 1e12, d up to the discriminant
@@ -42,8 +42,8 @@ ANALYTIC_ISOMETRY_FLOOR = 1e-12
 # discriminant edge, 3 to 96 samples, random c0, t_base, t and branch) the
 # deviations reached 1.02 eps times the term scale.
 STRAIGHTNESS_UNIT_BOUND = 1e-12
-# central-difference steps check_local_isometry accepts, in radians for t and
-# in units of the length L for u; 0 selects the analytic Jacobian instead
+# central-difference steps check_local_isometry accepts, in units of the phase
+# b = sqrt(c) t for t and of min(L, h) for u; 0 selects the analytic Jacobian
 FD_STEP_RANGE = (1e-8, 1e-3)
 STRUCTURAL_BOUND = 1e-10  # bound of the structural identities (over L for those in 1/length)
 ODE_ORACLE_BOUND = 1e-8  # and of the RK4 oracle, which have no error model
@@ -134,7 +134,7 @@ def isometry_tolerance(
     p: QuadraticProfile,
     params: ProjectionParams,
     u_span: DomainInterval,
-    t_span=(0.0, math.pi),
+    t_span=None,
     fd_step: float = 1e-5,
 ) -> float:
     """Bound on the residuals of :func:`check_local_isometry` over the same
@@ -145,70 +145,70 @@ def isometry_tolerance(
     scale = max|u| + 2|w0| >= max|Phi| over the stencil each evaluation
     rounds to a few eps * scale, and the rounded phase b(t) (off by
     eps |b|) turns u + w0 by as much again times |b|.  A central difference
-    divides that by its step, h radians in t and h L in u.  The truncation
-    error in t is h^2 |d^3 Phi/dt^3| / 6 = h^2 c f_max / 6 (d^3 Phi/dt^3 =
-    (-i b')^3 dPhi/du (u + w0) and sqrt(c) |u + w0| = f); Phi is affine in u,
-    so the u-difference has none.  Both rows take the larger difference's
-    bound, the t-difference's where L = 1.  The analytic columns only round:
-    |dPhi/du| to a few eps and |dPhi/dt| = sqrt(c) |u + w0| to a few
-    eps sqrt(c) scale, kept above the 1e-12 floor.
+    divides that by its step, h_t = fd_step/sqrt(c) in t and fd_step min(L, h) in
+    u.  The truncation error in t is h_t^2 |d^3 Phi/dt^3| / 6 = fd_step^2 f_max / 6
+    (d^3 Phi/dt^3 = (-i b')^3 dPhi/du (u + w0) and sqrt(c) |u + w0| = f); Phi
+    is affine in u, so the u-difference has none.  Both rows take the larger
+    difference's bound, the t-difference's where L = c = 1.  The analytic
+    columns only round: |dPhi/du| to a few eps and |dPhi/dt| = sqrt(c) |u + w0|
+    to a few eps sqrt(c) scale, kept above the 1e-12 floor.
     """
-    h, h_u = fd_step, fd_step * p.length
+    h_t, h_u = fd_step / p.sqrt_c, fd_step * _shortest_length(p)
     scale = _term_scale(p, (u_span.lo - h_u, u_span.hi + h_u))
     eps = np.finfo(float).eps
-    if h == 0.0:
+    if fd_step == 0.0:
         return max(ANALYTIC_ISOMETRY_FLOOR, ANALYTIC_ISOMETRY_SAFETY * eps * max(1.0, p.sqrt_c * scale))
+    t_lo, t_hi = _default_t_window(p) if t_span is None else t_span
     bp = b_slope(params, p)  # b(t) = b' t + c0
-    b_max = max(abs(bp * (t_span[0] - h) + params.c0), abs(bp * (t_span[1] + h) + params.c0))
+    b_max = max(abs(bp * (t_lo - h_t) + params.c0), abs(bp * (t_hi + h_t) + params.c0))
     f_max = max(p.radius(u_span.lo - h_u), p.radius(u_span.hi + h_u))
     roundoff = eps * scale * (1.0 + b_max)
-    return FD_ISOMETRY_SAFETY * max(roundoff / h_u, roundoff / h + h * h * p.c * f_max / 6.0)
+    return FD_ISOMETRY_SAFETY * max(roundoff / h_u, roundoff / h_t + fd_step * fd_step * f_max / 6.0)
 
 
 def check_local_isometry(
     p: QuadraticProfile,
     params: ProjectionParams,
     u_span: DomainInterval,
-    t_span=(0.0, math.pi),
+    t_span=None,
     nt: int = 50,
     nu: int = 50,
     fd_step: float = 1e-5,
 ):
-    """Residuals of the two preserved-length conditions on an nt x nu grid:
-    | |dPhi/du| - 1 | and | |dPhi/dt| - f(u) |.
+    """Residuals | |dPhi/du| - 1 | and | |dPhi/dt| - f(u) | of the two preserved-length
+    conditions on an nt x nu grid; t_span defaults to the emitters' [0, min(pi, T/2)].
 
-    With fd_step > 0 the derivatives are central differences of steps fd_step
-    in t and fd_step L in u (rows ``[fd]``); fd_step = 0 switches to the
+    With fd_step > 0 the derivatives are central differences of steps fd_step/sqrt(c)
+    in t and fd_step min(L, h) in u (rows ``[fd]``); fd_step = 0 switches to the
     analytic Jacobian (rows ``[analytic]``).  The bound is isometry_tolerance's.
-    Raises DomainExceeded when the u-stencil would leave the admissible interval.
+    Raises DomainExceeded when the u-stencil would touch u* or leave u* +- h.
     """
     if fd_step != 0.0 and not FD_STEP_RANGE[0] <= fd_step <= FD_STEP_RANGE[1]:
         raise ValueError("fd_step must be 0 (analytic) or within [%g, %g]" % FD_STEP_RANGE)
-    h, h_u = fd_step, fd_step * p.length
+    h_t, h_u = fd_step / p.sqrt_c, fd_step * _shortest_length(p)
     lo_st, hi_st = u_span.lo - h_u, u_span.hi + h_u
     u_star = p.singular_u + 0.0  # + 0.0 folds -0.0 to 0.0 in the message
     if lo_st <= u_star <= hi_st:
         raise DomainExceeded("stencil [%g, %g] touches the zero-slope abscissa u*=%g" % (lo_st, hi_st, u_star))
-    feas_lo, feas_hi = slope_feasible_span(p)
-    if lo_st < feas_lo or hi_st > feas_hi:
+    if lo_st < u_star - p.half_width or hi_st > u_star + p.half_width:
         raise DomainExceeded("stencil [%g, %g] leaves the arc-length-feasible window" % (lo_st, hi_st))
 
-    ts = np.linspace(t_span[0], t_span[1], nt)
+    ts = np.linspace(*(_default_t_window(p) if t_span is None else t_span), nt)
     us = np.linspace(u_span.lo, u_span.hi, nu)
     t, u = ts[:, None], us[None, :]
-    if h == 0.0:
+    if fd_step == 0.0:
         _, zt, zu = plane_map(p, params, t, u)
         du_norm, dt_norm = np.broadcast_to(np.abs(zu), zt.shape), np.abs(zt)
     else:
         du_norm = np.abs(plane_map(p, params, t, u + h_u)[0] - plane_map(p, params, t, u - h_u)[0]) / (2.0 * h_u)
-        dt_norm = np.abs(plane_map(p, params, t + h, u)[0] - plane_map(p, params, t - h, u)[0]) / (2.0 * h)
+        dt_norm = np.abs(plane_map(p, params, t + h_t, u)[0] - plane_map(p, params, t - h_t, u)[0]) / (2.0 * h_t)
     f = p.radius(us)
 
     def point_at(i):
         return ts[i // nu], us[i % nu]
 
-    mode = "analytic" if h == 0.0 else "fd"
-    bound = isometry_tolerance(p, params, u_span, t_span, h)
+    mode = "analytic" if fd_step == 0.0 else "fd"
+    bound = isometry_tolerance(p, params, u_span, t_span, fd_step)
     return (
         _summarize("|dPhi/du| - 1 [%s]" % mode, np.abs(du_norm - 1.0), point_at, bound),
         _summarize("|dPhi/dt| - f(u) [%s]" % mode, np.abs(dt_norm - f), point_at, bound),
@@ -333,10 +333,10 @@ def _golden_draws(seed: int, n: int):
 
 
 def verify_report(p: QuadraticProfile, params: ProjectionParams, grid, fd_step: float, seed):
-    """The ten reports of ``revproj verify`` in print order, on
-    reference_interval(p): isometry on the (nt, nu) grid by central
-    differences of steps fd_step in t and fd_step L in u, then analytically;
-    the most bent of three meridian images; the structural identities at
+    """The ten reports of ``revproj verify`` in print order, on the emitters' default
+    chart [0, min(pi, T/2)] x reference_interval(p): isometry on the (nt, nu) grid by
+    central differences of steps fd_step/sqrt(c) in t and fd_step min(L, h) in u, then
+    analytically; the most bent of three meridian images; the structural identities at
     1,000 abscissae; the RK4 oracle in ODE_VERIFY_STEPS steps over the chart
     (h = 1e-3 L on the width-1.8 L chart of every c <= 1).  The angles and
     abscissae are 2 pi times and lo + W times the first 3 and the next 1,000

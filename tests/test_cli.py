@@ -162,6 +162,24 @@ class TestVerifyCommand:
         failed = [row.split()[0] for row in out.splitlines() if row.endswith("FAIL")]
         assert failed == ["meridian", "overall:"]
 
+    @pytest.mark.parametrize("c", ["1e4", "1e8"])
+    def test_rotation_rate_off_by_1e_4_fails_fd_t_row(self, capsys, monkeypatch, c):
+        # Phi turning at b'(1 + 1e-4) stretches every parallel by 1e-4 f.
+        # The [fd] t-row's step is 1e-5 of the phase sqrt(c) t, so its
+        # truncation stays 1e-10 f/6 at any c and the stretch shows; dPhi/dt
+        # keeps the true formula, so no other row sees it
+        real_map = verifier_mod.plane_map
+
+        def fast(p, params, t, u):
+            _, zt, zu = real_map(p, params, t, u)
+            return real_map(p, params, t * (1.0 + 1e-4), u)[0], zt, zu  # t_base = 0 keeps the anchor
+
+        monkeypatch.setattr(verifier_mod, "plane_map", fast)
+        code, out, _ = run(capsys, "verify", "--c", c, "--d", "0", "--k", c)
+        assert code == 1
+        failed = [row[:42].rstrip() for row in out.splitlines() if row.endswith("FAIL")]
+        assert failed == ["|dPhi/dt| - f(u) [fd]", "overall: FAIL"]
+
     def test_fault_injection_fails_run(self, capsys, monkeypatch):
         real = verifier_mod.check_structural_identities
 

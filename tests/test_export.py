@@ -36,7 +36,6 @@ from revproj import (
     reference_interval,
     sample_table_csv,
 )
-from revproj.profile import slope_feasible_span
 from helpers import random_profiles, subprocess_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -412,7 +411,7 @@ class TestMeshObj:
                                                                from_hi, nt, nu):
         p = make_quadratic_profile(c, skew * 2.0 * math.sqrt(0.9 * c * k), k)
         us = p.singular_u
-        half = min(slope_feasible_span(p)[1] - us, 3.0)
+        half = min(p.half_width, 3.0)
         near, far = sorted(ends)
         lo, hi = (us - far * half, us - near * half) if below else (us + near * half, us + far * half)
         spec = MeshSpec(nt, nu, DomainInterval(lo, hi), hi - from_hi * (hi - lo))

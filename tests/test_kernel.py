@@ -103,9 +103,9 @@ def test_spot_value_is_exact():
 
 def isometry_loop(p, params, u_span, t_span, nt, nu, h):
     """check_local_isometry as a per-point loop over project / jacobian,
-    with steps h in t and h L in u."""
+    with steps h/sqrt(c) in t and h min(L, h_w) in u, h_w the half width."""
     res_u, res_t, points = [], [], []
-    h_u = h * p.length
+    h_t, h_u = h / p.sqrt_c, h * min(p.length, p.half_width)
     for t in np.linspace(t_span[0], t_span[1], nt):
         for u in np.linspace(u_span.lo, u_span.hi, nu):
             if h == 0.0:
@@ -113,9 +113,9 @@ def isometry_loop(p, params, u_span, t_span, nt, nu, h):
                 du, dt = math.hypot(jac[0, 1], jac[1, 1]), math.hypot(jac[0, 0], jac[1, 0])
             else:
                 up, um = project(p, params, SurfacePoint(t, u + h_u)), project(p, params, SurfacePoint(t, u - h_u))
-                tp, tm = project(p, params, SurfacePoint(t + h, u)), project(p, params, SurfacePoint(t - h, u))
+                tp, tm = project(p, params, SurfacePoint(t + h_t, u)), project(p, params, SurfacePoint(t - h_t, u))
                 du = math.hypot(up.x - um.x, up.y - um.y) / (2.0 * h_u)
-                dt = math.hypot(tp.x - tm.x, tp.y - tm.y) / (2.0 * h)
+                dt = math.hypot(tp.x - tm.x, tp.y - tm.y) / (2.0 * h_t)
             res_u.append(abs(du - 1.0))
             res_t.append(abs(dt - profile_jet(p, u)[0]))
             points.append((t, u))

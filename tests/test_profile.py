@@ -28,7 +28,7 @@ from revproj import (
     profile_jet,
     reference_interval,
 )
-from revproj.profile import TableRowError
+from revproj.profile import BOUNDARY_INSET, TableRowError
 from revproj.projection import _map_constants
 from revproj.verifier import check_local_isometry, check_structural_identities
 from helpers import gaussian_curvature, random_profiles, subprocess_env
@@ -258,6 +258,24 @@ class TestAdmissibleInterval:
         p = make_quadratic_profile(2, 0, 1)
         with pytest.raises(EmptyDomain):
             admissible_interval(p, DomainInterval(0.8, 1.2))
+
+    def test_clip_inset_fits_a_narrow_window(self):
+        # c = 1e20: L = 1 but h = 1e-10, so an inset of 1e-9 L would pass u*;
+        # one of 1e-9 min(L, h) leaves [1e-11, h) its width
+        p = make_quadratic_profile(1e20, 0, 1e20)
+        assert (p.length, p.half_width) == (1.0, 1e-10)
+        got = admissible_interval(p, DomainInterval(1e-11, 1.0))
+        assert (got.lo, got.hi) == (1e-11, p.half_width - BOUNDARY_INSET * p.half_width)
+
+    def test_half_width_is_the_feasible_window(self):
+        # f'^2 = c^2 x^2/(c x^2 + m) = 1 at x = h, and no such edge for c <= 1
+        for c in (0.3, 1.0):
+            assert make_quadratic_profile(c, 0.1, 1.0).half_width == math.inf
+        for p in random_profiles(12, 30):
+            if p.c > 1.0:
+                x = Fraction(p.half_width)
+                slope_sq = Fraction(p.c) ** 2 * x * x / (Fraction(p.c) * x * x + Fraction(p.radius_sq_min))
+                assert abs(slope_sq - 1) <= 8 * np.finfo(float).eps
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from revproj import (
 )
 import revproj.verifier as verifier_mod
 from revproj.cli import cli_dispatch
-from revproj.verifier import ODE_MAX_STEPS, _summarize, isometry_tolerance, straightness_tolerance
+from revproj.verifier import FD_STEP_RANGE, ODE_MAX_STEPS, _summarize, isometry_tolerance, straightness_tolerance
 from helpers import gaussian_curvature, random_profiles
 
 
@@ -548,6 +548,9 @@ EXTENDED_SWEEP = [(c, s * 2.0 * math.sqrt(c * k), k) for c in (1e-3, 1e-2, 0.3, 
                   for k in (1e-12, 1e-6, 1e-2, 1.0, 1e4, 1e10, 1e32, 1e300) for s in (0.0, 0.9, -0.999)]
 NEAR_EDGE_SWEEP = [(c, sign * (1.0 - gap) * 2.0 * math.sqrt(c * k), k) for c in (1e-3, 0.3, 1.0, 3.0, 1e3)
                    for k in (1e-6, 1.0, 1e6) for gap in (1e-6, 1e-10, 1e-14) for sign in (1.0, -1.0)]
+# c up to 1e10, where the feasible half width h = L/sqrt(c - 1) is 1e-5 L
+LARGE_C_SWEEP = [(10.0**e, s * 2.0 * math.sqrt(10.0**e * k), k) for e in range(11)
+                 for k in (1e-6, 1.0, 1e6) for s in (0.0, 0.9, -0.999)]
 
 
 @st.composite
@@ -568,14 +571,27 @@ def homothetic_images(draw):
 
 class TestOneLengthScale:
     # every default length of verify and classify quadratic: is a multiple
-    # of the profile's length L, which the homothety scales by lam, and so
-    # no verdict moves with the surface's size
+    # of the profile's lengths L and h, which the homothety scales by lam,
+    # and so no verdict moves with the surface's size
 
-    @pytest.mark.parametrize("sweep", [EXTENDED_SWEEP, NEAR_EDGE_SWEEP], ids=["extended", "near-edge"])
+    @pytest.mark.parametrize("sweep", [EXTENDED_SWEEP, NEAR_EDGE_SWEEP, LARGE_C_SWEEP],
+                             ids=["extended", "near-edge", "large-c"])
     def test_every_profile_of_the_sweep_verifies(self, sweep):
         failed = [coeffs for coeffs in sweep
                   if cli_outcome("verify", *coefficient_flags(*coeffs), "--grid", "20x20")[0] != 0]
         assert failed == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3.0, 10.0), st.floats(-6.0, 6.0), st.floats(-0.999, 0.999))
+    def test_widest_stencil_stays_inside_the_chart(self, log_c, log_k, s):
+        # the u-stencil of the largest fd step is 1e-3 min(L, h), which the
+        # chart's ends at u* + 0.1 h and u* + 0.85 h leave room for
+        c, k = 10.0**log_c, 10.0**log_k
+        p = make_quadratic_profile(c, s * 2.0 * math.sqrt(c * k), k)
+        span = reference_interval(p)
+        h_u = FD_STEP_RANGE[1] * min(p.length, p.half_width)
+        assert span.lo - h_u > p.singular_u
+        assert span.hi + h_u < p.singular_u + p.half_width
 
     @settings(max_examples=60, deadline=None)
     @given(homothetic_images())
