@@ -47,6 +47,7 @@ from .projection import (
     make_projection_params,
     meridian_turning,
     plane_map,
+    plane_map_derivatives,
     project,
     t_period,
 )

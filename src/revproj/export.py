@@ -206,8 +206,8 @@ def export_graticule_svg(
         t, deviation = report.worst_point[0], report.max_abs_residual
         raise CollinearityViolation("meridian image at t=%g deviates %g from a straight line" % (t, deviation))
     # the ends of each meridian image and one row of samples per parallel image
-    meridians, _, _ = plane_map(p, params, t_values[:, None], u_samples[[0, -1]])
-    parallels, _, _ = plane_map(p, params, t_samples[None, :], u_values[:, None])
+    meridians = plane_map(p, params, t_values[:, None], u_samples[[0, -1]])
+    parallels = plane_map(p, params, t_samples[None, :], u_values[:, None])
 
     polylines = [(z, "#202020") for z in meridians] + [(z, "#777777") for z in parallels]
     all_z = np.concatenate([z for z, _ in polylines])
@@ -290,7 +290,7 @@ def sample_table_csv(
     """Write header ``t,u,x,y`` then one row per (t, u) grid point with the
     projected coordinates, full double precision."""
     points = np.asarray(grid, dtype=float).reshape(-1, 2)
-    z, _, _ = plane_map(p, params, points[:, 0], points[:, 1])
+    z = plane_map(p, params, points[:, 0], points[:, 1])
     fields = np.column_stack([points, z.real, z.imag])
     if not np.isfinite(fields).all():
         _fmt(fields)  # raises, naming the first non-finite field in row order

@@ -20,9 +20,10 @@ expression per meridian,
 w0 is built from the invariants: -u* - iL on the principal theta0 and
 -u* + iL on its supplement, so theta0 itself never enters the kernel.
 
-``plane_map`` evaluates it and both partial derivatives on arrays; the
-scalar ``project`` and ``jacobian`` are views of it, and ``invert`` solves it
-in closed form, with no preimage on or inside its fold circle.
+``plane_map`` evaluates Phi on arrays and ``plane_map_derivatives`` its two
+partial derivatives, so no caller forms a grid it does not read; the scalar
+``project`` and ``jacobian`` are views of one each, and ``invert`` solves
+Phi in closed form, with no preimage on or inside its fold circle.
 """
 
 from __future__ import annotations
@@ -99,28 +100,41 @@ def b_slope(params: ProjectionParams, p: QuadraticProfile) -> float:
 
 
 def plane_map(p: QuadraticProfile, params: ProjectionParams, t, u):
-    """Phi and its two partial derivatives in complex form, z = x + iy, at
-    t and u (floats or numpy arrays, broadcast against each other):
+    """Phi in complex form, z = x + iy, at t and u (floats or numpy arrays,
+    broadcast against each other):
 
-        Phi     = sigma (e^{-i b(t)} (u + w0) - e^{-i b(t_base)} w0)
+        Phi = sigma (e^{-i b(t)} (u + w0) - e^{-i b(t_base)} w0)
+
+    with w0 = -u* -+ iL and sigma = +1 on CASE_A, -1 on CASE_B.  Each
+    meridian image is the line through sigma (e^{-ib} w0 - e^{-i b(t_base)} w0)
+    with unit direction sigma e^{-ib}.
+    """
+    bp, sigma, w0, anchor = _map_constants(p, params)
+    return _rotation(params, bp, sigma, t) * (u + w0) - sigma * anchor
+
+
+def plane_map_derivatives(p: QuadraticProfile, params: ProjectionParams, t, u):
+    """(dPhi/dt, dPhi/du) of :func:`plane_map` at the same t and u:
+
         dPhi/dt = -i sigma b' e^{-i b(t)} (u + w0)
         dPhi/du = sigma e^{-i b(t)}
 
-    with w0 = -u* -+ iL and sigma = +1 on CASE_A,
-    -1 on CASE_B.  Each meridian image is the line through
-    sigma (e^{-ib} w0 - e^{-i b(t_base)} w0) with unit direction dPhi/du,
-    and |dPhi/dt| = sqrt(c) |u + w0| = f(u).  Returns (Phi, dPhi/dt, dPhi/du);
-    dPhi/du does not depend on u and keeps the shape of t.
+    so |dPhi/dt| = sqrt(c) |u + w0| = f(u) and |dPhi/du| = 1.  dPhi/du does
+    not depend on u and keeps the shape of t.
     """
-    bp, sigma, w0, anchor = _map_constants(p, params)
-    rot = sigma * np.exp(-1j * (bp * t + params.c0))
-    arm = u + w0
-    return rot * arm - sigma * anchor, -1j * bp * rot * arm, rot
+    bp, sigma, w0, _ = _map_constants(p, params)
+    rot = _rotation(params, bp, sigma, t)
+    return -1j * bp * rot * (u + w0), rot
+
+
+def _rotation(params: ProjectionParams, bp: float, sigma: float, t):
+    """sigma e^{-i b(t)}, b(t) = b' t + c0: dPhi/du, the factor of u + w0 in Phi."""
+    return sigma * np.exp(-1j * (bp * t + params.c0))
 
 
 def _map_constants(p: QuadraticProfile, params: ProjectionParams):
     """(b', sigma, w0, e^{-i b(t_base)} w0), the constants of Phi shared by
-    ``plane_map`` and ``invert``."""
+    ``plane_map``, ``plane_map_derivatives`` and ``invert``."""
     bp = b_slope(params, p)
     w0 = complex(-p.singular_u, math.copysign(p.length, -math.cos(params.theta0)))
     # b(t) = b' t + c0
@@ -130,14 +144,14 @@ def _map_constants(p: QuadraticProfile, params: ProjectionParams):
 
 def project(p: QuadraticProfile, params: ProjectionParams, pt: SurfacePoint) -> PlanePoint:
     """Phi(t, u) = (x, y): affine in u along each meridian."""
-    z, _, _ = plane_map(p, params, pt.t, pt.u)
+    z = plane_map(p, params, pt.t, pt.u)
     return PlanePoint(float(z.real), float(z.imag))
 
 
 def jacobian(p: QuadraticProfile, params: ProjectionParams, pt: SurfacePoint) -> np.ndarray:
     """2x2 Jacobian of Phi, columns (d/dt, d/du): the u-column is the unit
     meridian direction and the t-column has norm exactly f(u)."""
-    _, zt, zu = plane_map(p, params, pt.t, pt.u)
+    zt, zu = plane_map_derivatives(p, params, pt.t, pt.u)
     return np.array([[zt.real, zu.real], [zt.imag, zu.imag]])
 
 

@@ -28,7 +28,7 @@ from .profile import (
     profile_jet,
     reference_interval,
 )
-from .projection import ProjectionParams, _default_t_window, b_slope, meridian_turning, plane_map
+from .projection import ProjectionParams, _default_t_window, b_slope, meridian_turning, plane_map, plane_map_derivatives
 
 # Safety factors of isometry_tolerance over its error model.  Over 150 random
 # profiles (c from 1e-3 to 1e3, k from 1e-8 to 1e12, d up to the discriminant
@@ -178,9 +178,10 @@ def check_local_isometry(
     """Residuals | |dPhi/du| - 1 | and | |dPhi/dt| - f(u) | of the two preserved-length
     conditions on an nt x nu grid; t_span defaults to the emitters' [0, min(pi, T/2)].
 
-    With fd_step > 0 the derivatives are central differences of steps fd_step/sqrt(c)
-    in t and fd_step min(L, h) in u (rows ``[fd]``); fd_step = 0 switches to the
-    analytic Jacobian (rows ``[analytic]``).  The bound is isometry_tolerance's.
+    With fd_step > 0 the derivatives are central differences of plane_map, steps
+    fd_step/sqrt(c) in t and fd_step min(L, h) in u (rows ``[fd]``); fd_step = 0
+    reads plane_map_derivatives instead (rows ``[analytic]``).  Neither pass forms
+    a grid it does not read.  The bound is isometry_tolerance's.
     Raises DomainExceeded when the u-stencil would touch u* or leave u* +- h.
     """
     if fd_step != 0.0 and not FD_STEP_RANGE[0] <= fd_step <= FD_STEP_RANGE[1]:
@@ -197,11 +198,11 @@ def check_local_isometry(
     us = np.linspace(u_span.lo, u_span.hi, nu)
     t, u = ts[:, None], us[None, :]
     if fd_step == 0.0:
-        _, zt, zu = plane_map(p, params, t, u)
+        zt, zu = plane_map_derivatives(p, params, t, u)
         du_norm, dt_norm = np.broadcast_to(np.abs(zu), zt.shape), np.abs(zt)
     else:
-        du_norm = np.abs(plane_map(p, params, t, u + h_u)[0] - plane_map(p, params, t, u - h_u)[0]) / (2.0 * h_u)
-        dt_norm = np.abs(plane_map(p, params, t + h_t, u)[0] - plane_map(p, params, t - h_t, u)[0]) / (2.0 * h_t)
+        du_norm = np.abs(plane_map(p, params, t, u + h_u) - plane_map(p, params, t, u - h_u)) / (2.0 * h_u)
+        dt_norm = np.abs(plane_map(p, params, t + h_t, u) - plane_map(p, params, t - h_t, u)) / (2.0 * h_t)
     f = p.radius(us)
 
     def point_at(i):
@@ -248,7 +249,7 @@ def check_meridian_straightness(p, params, t, u_samples) -> ResidualReport:
     if len(us) < 3:
         raise ValueError("straightness check needs at least 3 u-samples")
     ts = np.asarray(t, dtype=float).reshape(-1)
-    z, _, _ = plane_map(p, params, ts[:, None], us)
+    z = plane_map(p, params, ts[:, None], us)
     chord = z[:, -1:] - z[:, :1]
     length = np.abs(chord)
     short = length[:, 0] < CHORD_FLOOR_ULPS * np.finfo(float).eps * _term_scale(p, us)

@@ -153,8 +153,7 @@ class TestVerifyCommand:
         real_map = verifier_mod.plane_map
 
         def bent(p, params, t, u):
-            z, zt, zu = real_map(p, params, t, u)
-            return z + 1e-10 * np.sin(3 * u), zt, zu
+            return real_map(p, params, t, u) + 1e-10 * np.sin(3 * u)
 
         monkeypatch.setattr(verifier_mod, "plane_map", bent)
         code, out, _ = run(capsys, "verify", "--c", "1", "--d", "0", "--k", "1")
@@ -166,13 +165,12 @@ class TestVerifyCommand:
     def test_rotation_rate_off_by_1e_4_fails_fd_t_row(self, capsys, monkeypatch, c):
         # Phi turning at b'(1 + 1e-4) stretches every parallel by 1e-4 f.
         # The [fd] t-row's step is 1e-5 of the phase sqrt(c) t, so its
-        # truncation stays 1e-10 f/6 at any c and the stretch shows; dPhi/dt
-        # keeps the true formula, so no other row sees it
+        # truncation stays 1e-10 f/6 at any c and the stretch shows; the
+        # [analytic] rows read plane_map_derivatives, so no other row sees it
         real_map = verifier_mod.plane_map
 
         def fast(p, params, t, u):
-            _, zt, zu = real_map(p, params, t, u)
-            return real_map(p, params, t * (1.0 + 1e-4), u)[0], zt, zu  # t_base = 0 keeps the anchor
+            return real_map(p, params, t * (1.0 + 1e-4), u)  # t_base = 0 keeps the anchor
 
         monkeypatch.setattr(verifier_mod, "plane_map", fast)
         code, out, _ = run(capsys, "verify", "--c", c, "--d", "0", "--k", c)

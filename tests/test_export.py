@@ -228,8 +228,7 @@ class TestGraticuleSvg:
         real_map = export_mod.plane_map
 
         def bent(p, params, t, u):
-            z, zt, zu = real_map(p, params, t, u)
-            return z + 1e-6 * np.sin(3 * u), zt, zu
+            return real_map(p, params, t, u) + 1e-6 * np.sin(3 * u)
 
         monkeypatch.setattr(export_mod, "plane_map", bent)
         monkeypatch.setattr(verifier_mod, "plane_map", bent)
@@ -268,8 +267,7 @@ class TestGraticuleSvg:
 
     def test_zero_extent_raises_before_writing(self, fig1, fig1_params, tmp_path, monkeypatch):
         def collapsed(p, params, t, u):
-            shape = np.broadcast(t, u).shape
-            return np.zeros(shape, dtype=complex), np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
+            return np.zeros(np.broadcast(t, u).shape, dtype=complex)
 
         monkeypatch.setattr(export_mod, "plane_map", collapsed)
         spec = GraticuleSpec((0.0, math.pi), DomainInterval(0.2, 2.0))
@@ -299,8 +297,8 @@ def _per_point_svg(p, params, spec):
     u_values = np.linspace(spec.u_range.lo, spec.u_range.hi, spec.n_parallels)
     u_samples = np.linspace(spec.u_range.lo, spec.u_range.hi, spec.samples_per_curve)
     t_samples = np.linspace(*spec.t_range, spec.samples_per_curve)
-    meridians = plane_map(p, params, t_values[:, None], u_samples[None, :])[0]
-    parallels = plane_map(p, params, t_samples[None, :], u_values[:, None])[0]
+    meridians = plane_map(p, params, t_values[:, None], u_samples[None, :])
+    parallels = plane_map(p, params, t_samples[None, :], u_values[:, None])
     curves = [(z, "#202020") for z in meridians[:, [0, -1]]] + [(z, "#777777") for z in parallels]
     xs = [float(x) for z, _ in curves for x in z.real]
     ys = [-float(y) for z, _ in curves for y in z.imag]
@@ -608,7 +606,7 @@ def _per_row_csv(p, params, grid):
     """CSV text built one row at a time, each field formatted on its own,
     from the same map samples as the emitter."""
     points = np.array(grid, dtype=float)
-    z = plane_map(p, params, points[:, 0], points[:, 1])[0]
+    z = plane_map(p, params, points[:, 0], points[:, 1])
     rows = ["t,u,x,y"]
     for (t, u), w in zip(points, z):
         rows.append("%r,%r,%r,%r" % (float(t), float(u), float(w.real), float(w.imag)))

@@ -1,7 +1,7 @@
-"""Property tests of the complex array kernel ``plane_map``: against the
-real-form frame (g1, h1, G2, H2) it replaced, each vectorized check
-against a per-point loop over the scalar wrappers, and the closed-form
-``invert`` against ``project``."""
+"""Property tests of the complex array kernels ``plane_map`` and
+``plane_map_derivatives``: against the real-form frame (g1, h1, G2, H2)
+they replaced, each vectorized check against a per-point loop over the
+scalar wrappers, and the closed-form ``invert`` against ``project``."""
 
 import math
 
@@ -21,6 +21,7 @@ from revproj import (
     make_quadratic_profile,
     meridian_turning,
     plane_map,
+    plane_map_derivatives,
     profile_jet,
     project,
     reference_interval,
@@ -84,7 +85,7 @@ def real_form(p, params, t, u):
 def test_kernel_matches_real_form(case, ts, us):
     p, params = case
     t, u = np.array(ts)[:, None], np.array(us)[None, :]
-    z, zt, zu = plane_map(p, params, t, u)
+    z, (zt, zu) = plane_map(p, params, t, u), plane_map_derivatives(p, params, t, u)
     ref = np.array([[real_form(p, params, a, b) for b in us] for a in ts])
     scale = term_scale(p, us)
     f = profile_jet(p, u)[0]
@@ -190,13 +191,13 @@ def test_scalar_calls_are_elements_of_the_array_call(case, ts, us):
     p, params = case
     t, u = np.array(ts)[:, None], np.array(us)
     jet, turning = profile_jet(p, u), meridian_turning(p, u)
-    z, zt, zu = plane_map(p, params, t, u)
+    z, (zt, zu) = plane_map(p, params, t, u), plane_map_derivatives(p, params, t, u)
     scale = term_scale(p, us)
     for j, uj in enumerate(us):
         for got, arr in zip(profile_jet(p, uj) + meridian_turning(p, uj), jet + turning):
             assert isinstance(got, float) and got == arr[j]
         for i, ti in enumerate(ts):
-            z1, zt1, zu1 = plane_map(p, params, ti, uj)
+            z1, (zt1, zu1) = plane_map(p, params, ti, uj), plane_map_derivatives(p, params, ti, uj)
             assert all(isinstance(v, complex) for v in (z1, zt1, zu1))
             assert zu1 == zu[i, 0]
             assert abs(z1 - z[i, j]) <= ULPS * EPS * scale

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from revproj import (
     BUILTIN_PROFILES,
+    Branch,
     DegenerateLine,
     DomainExceeded,
     DomainInterval,
@@ -73,6 +74,24 @@ class TestLocalIsometry:
     def test_fd_step_range_enforced(self, fig1, fig1_params):
         with pytest.raises(ValueError):
             check_local_isometry(fig1, fig1_params, DomainInterval(0.2, 2.0), fd_step=1e-2)
+
+    @pytest.mark.parametrize("fd_step, grids", [(1e-5, 5.0), (0.0, 3.5)])
+    def test_peak_memory_at_64x64(self, fd_step, grids):
+        # a complex 64x64 grid is 64 KB.  Each pass holds only the grids it
+        # reads: a kernel that also formed the unread derivative (or Phi)
+        # peaked at 5.6 grids in fd mode and 4.1 in analytic mode, and the
+        # glibc heap then trimmed and faulted back that top on every op
+        p = make_quadratic_profile(2.5, -1.0, 0.6)
+        params = make_projection_params(p, branch=Branch.CASE_B, mirror_theta0=True)
+        span = reference_interval(p)
+        check_local_isometry(p, params, span, nt=64, nu=64, fd_step=fd_step)
+        tracemalloc.start()
+        try:
+            check_local_isometry(p, params, span, nt=64, nu=64, fd_step=fd_step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grids * 64 * 64 * 16
 
 
 class TestResidualReport:
@@ -139,8 +158,7 @@ class TestMeridianStraightness:
         real_map = verifier_mod.plane_map
 
         def collapsed(p, params, t, u):  # every meridian past t = 1 maps to 0
-            z, zt, zu = real_map(p, params, t, u)
-            return np.where(t > 1.0, 0j, z), zt, zu
+            return np.where(t > 1.0, 0j, real_map(p, params, t, u))
 
         monkeypatch.setattr(verifier_mod, "plane_map", collapsed)
         ts = np.array([0.5, 1.5, 2.5])
