@@ -87,11 +87,10 @@ def make_projection_params(
 
 
 def meridian_turning(p: QuadraticProfile, u: float):
-    """(a, a') with a(u) = arctan((u - u*)/L) and a' = c L / f(u)^2; u may
-    be a float or a numpy array."""
-    a = np.arctan((u - p.singular_u) / p.length)
-    a_prime = p.c * p.length / p.radius_sq(u)
-    return a, a_prime
+    """(a, a') with a(u) = arctan2(u - u*, L) and a' = (L/H)/H, H = p.modulus(u)
+    (c L/f^2, finite wherever f is); u may be a float or a numpy array."""
+    h = p.modulus(u)
+    return np.arctan2(u - p.singular_u, p.length), p.length / h / h
 
 
 def b_slope(params: ProjectionParams, p: QuadraticProfile) -> float:

@@ -126,8 +126,8 @@ def _summarize(name, residuals, point_at, bound):
 
 def _term_scale(p: QuadraticProfile, us) -> float:
     """max|u| + 2|w0| over the samples us, the size of the two terms of Phi;
-    |w0| = hypot(u*, L)."""
-    return float(np.abs(us).max()) + 2.0 * math.hypot(p.singular_u, p.length)
+    |w0| = sqrt(k)/sqrt(c), as w0 = -i (sqrt(k)/sqrt(c)) e^{i theta0}."""
+    return float(np.abs(us).max()) + 2.0 * (math.sqrt(p.k) / p.sqrt_c)
 
 
 def isometry_tolerance(
@@ -268,14 +268,14 @@ def check_structural_identities(p: QuadraticProfile, u_samples):
     are in 1/length), on the four identities tying f and the turning angle:
 
         f'' = (a')^2 f
-        2 f' a' + f a'' = 0          (a'' taken analytically from a' ~ 1/f^2)
+        2 f' a' + f a'' = 0          (a'' = -2 a' f'/f taken analytically from a')
         f' cos a - f a' sin a = 0
         f' sin a + f a' cos a = sqrt(c)
     """
     us = np.asarray(u_samples, dtype=float)
     f, fp, fpp = profile_jet(p, us)
     a, ap = meridian_turning(p, us)
-    app = -2.0 * (p.c * p.length / f) * (fp / f) / f  # a'' = -2 a' f'/f, with no f^3 to overflow
+    app = -2.0 * ap * (fp / f)  # a'' = -2 a' f'/f, analytically from a'
     cos_a, sin_a = np.cos(a), np.sin(a)
     per_length = STRUCTURAL_BOUND / p.length
     rows = {
@@ -311,7 +311,7 @@ def ode_oracle_a(p: QuadraticProfile, u0: float, u1: float, n_steps: int) -> Res
     h = (u1 - u0) / n_steps
     u = u0 + 0.5 * h * np.arange(2 * n_steps + 1)  # nodes at even j
     f = p.radius(u)
-    q = -((2.0 * p.c * (u - p.singular_u)) / f) / f  # -2 f'/f, f' = (f^2)'/(2f), to the bit
+    q = -((2.0 * p.c * (u - p.singular_u)) / f) / f  # -2 f'/f, f' = (f^2)'/(2f) from f and (f^2)' alone
     q0, q_mid, q1 = q[:-1:2], q[1::2], q[2::2]
     # the stage values of a' over a'_i; the stage slopes of a' are q times them
     s2 = 1.0 + 0.5 * h * q0

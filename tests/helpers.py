@@ -37,6 +37,8 @@ def chart(p):
 
 def gaussian_curvature(p, u):
     """The curvature oracle K = -f''/f = -c m/f^4 (m = f(u*)^2), strictly
-    negative on this family; u may be a float or a numpy array."""
-    w = p.radius_sq(u)
+    negative on this family; u may be a float or a numpy array.  f^2 is
+    written out from the invariants, not read from the profile's modulus."""
+    x = u - p.singular_u
+    w = p.c * (x * x) + p.radius_sq_min
     return -p.c * p.radius_sq_min / (w * w)

@@ -549,7 +549,6 @@ class TestExportCommands:
     @pytest.mark.parametrize("argv", [
         ("table", "--c", "1", "--d", "0", "--k", "1", "--t0", "-1e308", "--t1", "1e308"),
         ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u-ref", "1e300"),
-        ("export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u1", "1e200"),
     ])
     def test_non_finite_output_writes_nothing(self, capsys, tmp_path, argv):
         # finite flags whose coordinates or heights overflow: neither the
@@ -559,6 +558,20 @@ class TestExportCommands:
         assert (code, out) == (2, "")
         assert "finite" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_far_window_writes_finite_vertices(self, capsys, tmp_path):
+        # f(1e200) = sqrt(c) hypot(1e200 - u*, L) = 1e200 is finite, though
+        # (u - u*)^2 is not: the mesh is written, every vertex finite
+        path = tmp_path / "far.obj"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "export-mesh", "--c", "1", "--d", "0", "--k", "1", "--u1", "1e200",
+                                 "-o", str(path))
+        assert (code, err) == (0, "")
+        vertices = [line.split()[1:] for line in path.read_text().splitlines() if line.startswith("v ")]
+        assert len(vertices) == 2048
+        assert all(math.isfinite(float(field)) for vertex in vertices for field in vertex)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_io_error_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", "--c", "1", "--d", "0", "--k", "1",

@@ -182,8 +182,8 @@ def test_straightness_over_angles_is_the_most_bent_meridian(case, ts):
 @example((UNIT, make_projection_params(UNIT)), [0.0], [0.203132])  # math.atan and np.arctan round a(u) apart
 def test_scalar_calls_are_elements_of_the_array_call(case, ts, us):
     # One code path: a float argument gives the array call's element, as a
-    # float or a complex.  numpy rounds its real ufuncs (sqrt, arctan, exp)
-    # and real arithmetic alike for a scalar and an array, so f, f', f'', a,
+    # float or a complex.  numpy rounds its ufuncs (arctan2, exp, the complex
+    # absolute) and real arithmetic alike for a scalar and an array, so f, f', f'', a,
     # a' and dPhi/du match to the bit.  Phi and dPhi/dt end in a product of
     # two complex numbers, which numpy's array loop can fuse (an fma, on
     # x86_64 with FMA3) and its scalar arithmetic does not, so they match to

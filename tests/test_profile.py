@@ -25,6 +25,7 @@ from revproj import (
     export_mesh_obj,
     make_projection_params,
     make_quadratic_profile,
+    meridian_turning,
     profile_jet,
     reference_interval,
 )
@@ -481,24 +482,68 @@ def chart_points(draw):
     return p, p.singular_u + p.length * draw(st.floats(0.2, 2.0))
 
 
+@st.composite
+def modulus_points(draw):
+    """A profile with L in 10^[-150, 300], c such that k = c (L^2 + u*^2)
+    lies in 10^[-300, 300], u* = rho x with |rho| <= 1, and u = u* + x
+    with |x|/L in 10^[-6, 6] on either side of u*: x is never small next
+    to u*, so rounding u* costs a few eps of x at most."""
+    log_l = draw(st.floats(-150.0, 300.0))
+    log_x = min(300.0, log_l + draw(st.floats(-6.0, 6.0)))
+    lo, hi = max(-300.0, -300.0 - 2.0 * log_l), min(300.0, 300.0 - 2.0 * max(log_l, log_x))
+    c = 10.0 ** (lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+    length, x = 10.0 ** log_l, draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** log_x
+    u_star = draw(st.floats(-1.0, 1.0)) * x
+    p = QuadraticProfile(c, -2.0 * c * u_star, c * length * length + c * u_star * u_star)
+    return p, p.singular_u + x
+
+
+def _exact_jets(p, u):
+    """f, f', f'', a and a' at u in 50-digit mpmath, from the profile's own
+    (c, d, k) and not from its rounded invariants."""
+    import mpmath
+
+    c, d, k, u = map(mpmath.mpf, (p.c, p.d, p.k, u))
+    x, length = u + d / (2 * c), mpmath.sqrt((k - d * d / (4 * c)) / c)
+    h = mpmath.sqrt(x * x + length * length)
+    return (mpmath.sqrt(c) * h, mpmath.sqrt(c) * x / h, mpmath.sqrt(c) * length**2 / h**3,
+            mpmath.atan2(x, length), length / h**2)
+
+
 class TestRadius:
     @settings(max_examples=300, deadline=None)
     @given(chart_points())
-    def test_radius_sq_and_slope_within_a_few_eps_of_mpmath(self, point):
-        # f^2 at a rounded u is off by its condition in u, eps 2c|u||u - u*|,
-        # plus eps f^2; f' = c (u - u*)/f by eps (|f'| + c|u|/f). Near the
-        # discriminant edge |u| >> |u - u*| ~ L, where (c u + d) u + k cancels
+    def test_radius_and_slope_within_a_few_eps_of_mpmath(self, point):
+        # f = sqrt(c) hypot(u - u*, L) at a rounded u is off by its condition
+        # in u, eps c|u||u - u*|/f, plus eps f; f' = c (u - u*)/f by
+        # eps (|f'| + c|u|/f). Near the discriminant edge |u| >> |u - u*| ~ L
         import mpmath
 
         p, u = point
         eps = np.finfo(float).eps
-        f_sq, f_prime = p.radius_sq(u), profile_jet(p, u)[1]
+        f, f_prime = p.radius(u), profile_jet(p, u)[1]
+        assert f == p.sqrt_c * p.modulus(u)
         with mpmath.workdps(50):
-            c, d, k, x = map(mpmath.mpf, (p.c, p.d, p.k, u))
-            exact_sq = (c * x + d) * x + k
-            exact_prime = (c * x + d / 2) / mpmath.sqrt(exact_sq)
-            assert abs(f_sq - exact_sq) <= 4 * eps * (exact_sq + 2 * c * abs(x) * abs(x + d / (2 * c)))
-            assert abs(f_prime - exact_prime) <= 4 * eps * (abs(exact_prime) + c * abs(x) / mpmath.sqrt(exact_sq))
+            exact, exact_prime = _exact_jets(p, u)[:2]
+            assert abs(f - exact) <= 4 * eps * (exact + p.c * abs(u) * abs(u - p.singular_u) / exact)
+            assert abs(f_prime - exact_prime) <= 4 * eps * (abs(exact_prime) + p.c * abs(u) / exact)
+
+    @settings(max_examples=500, deadline=None)
+    @given(modulus_points())
+    def test_jets_and_turning_within_a_few_eps_of_mpmath_over_the_double_range(self, point):
+        # f, f', f'', a and a' all read H = hypot(u - u*, L), so none
+        # overflows where its own value is finite, even where (u - u*)^2 does
+        import mpmath
+
+        p, u = point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = profile_jet(p, u) + meridian_turning(p, u)
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        with mpmath.workdps(50):
+            for name, value, exact in zip(("f", "f'", "f''", "a", "a'"), got, _exact_jets(p, u)):
+                if tiny <= abs(exact) <= huge:  # only where the exact value is a normal double
+                    assert abs(value - exact) <= 8 * np.finfo(float).eps * abs(exact), (name, value, exact)
 
     @settings(max_examples=100, deadline=None)
     @given(profiles(), st.floats(-3.0, 3.0))

@@ -569,6 +569,34 @@ NEAR_EDGE_SWEEP = [(c, sign * (1.0 - gap) * 2.0 * math.sqrt(c * k), k) for c in 
 # c up to 1e10, where the feasible half width h = L/sqrt(c - 1) is 1e-5 L
 LARGE_C_SWEEP = [(10.0**e, s * 2.0 * math.sqrt(10.0**e * k), k) for e in range(11)
                  for k in (1e-6, 1.0, 1e6) for s in (0.0, 0.9, -0.999)]
+# c <= 1 over the whole double range, where L = sqrt(m/c) reaches 1e162
+# and (u - u*)^2 would overflow though f itself is finite
+FULL_RANGE_SWEEP = [(10.0**ec, s * 2.0 * math.sqrt(10.0**ec) * math.sqrt(10.0**ek), 10.0**ek)
+                    for ec in range(-300, 1, 25) for ek in range(-300, 301, 25) for s in (0.0, 0.9, -0.999)]
+
+
+class TestWholeDoubleRange:
+    def test_every_profile_with_c_at_most_one_verifies_with_finite_bounds(self, monkeypatch):
+        # every closed form reads H = hypot(u - u*, L), finite wherever f is;
+        # a bound of inf would pass any finite residual, so each must be finite
+        bounds = []
+
+        def recording(*args):
+            reports = verify_report(*args)
+            bounds.extend(rep.bound for rep in reports)
+            return reports
+
+        monkeypatch.setattr(verifier_mod, "verify_report", recording)
+        failed = []
+        for coeffs in FULL_RANGE_SWEEP:
+            try:
+                code = cli_outcome("verify", *coefficient_flags(*coeffs), "--grid", "8x8")[0]
+            except RuntimeWarning as warning:
+                code = repr(warning)
+            if code != 0:
+                failed.append((coeffs, code))
+        assert (len(FULL_RANGE_SWEEP), failed) == (975, [])
+        assert len(bounds) == 10 * 975 and all(map(math.isfinite, bounds))
 
 
 @st.composite
